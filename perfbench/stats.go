@@ -1,0 +1,40 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between closest ranks; NaN for an empty sample. xs is not
+// modified.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// supports reports whether a sample of n values has at least ten beyond
+// the q-quantile, the rule every reported percentile must satisfy.
+func supports(n int, q float64) bool {
+	return float64(n)*(1-q) >= 10
+}
