@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmt-check vet build test bench serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel bench-dist lint coverage ci
+.PHONY: fmt fmt-check vet build perfbench-build test bench serve-smoke obs-smoke dist-smoke bench-serve bench-parallel bench-stream bench-shard bench-load bench-kernel bench-dist lint coverage ci
 
 fmt: ## Reformat all Go sources in place
 	gofmt -w .
@@ -21,6 +21,9 @@ vet: ## Static analysis
 
 build: ## Compile every package and binary
 	$(GO) build ./...
+
+perfbench-build: ## Compile and vet the end-to-end benchmark (its own module, so ./... never reaches it)
+	$(GO) build -C perfbench -o /dev/null ./... && $(GO) vet -C perfbench ./...
 
 test: ## Full test suite with the race detector, shuffled (CI's main job)
 	$(GO) test -race -shuffle=on ./...
@@ -88,4 +91,4 @@ coverage: ## Enforce ≥ 70% statement coverage on query+grouping+parallel+shard
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t + 0 < min) ? 1 : 0 }' \
 		|| { echo "coverage $$total% is below $(COVER_MIN)%" >&2; exit 1; }
 
-ci: fmt-check vet lint build test bench coverage serve-smoke obs-smoke dist-smoke ## The full local gate, same checks as CI
+ci: fmt-check vet lint build perfbench-build test bench coverage serve-smoke obs-smoke dist-smoke ## The full local gate, same checks as CI

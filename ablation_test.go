@@ -5,6 +5,7 @@
 package onex
 
 import (
+	"context"
 	"testing"
 
 	"onex/internal/core"
@@ -12,6 +13,7 @@ import (
 	"onex/internal/dist"
 	"onex/internal/grouping"
 	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/ts"
 )
 
@@ -46,23 +48,23 @@ func newAblationFixture(b *testing.B) *ablationFixture {
 	return &ablationFixture{data: d, lengths: lengths, queries: queries}
 }
 
-func (f *ablationFixture) engine(b *testing.B, opts query.Options) *core.Engine {
+func (f *ablationFixture) engine(b *testing.B, opts query.Options) *shard.Engine {
 	b.Helper()
-	eng, err := core.Build(f.data, core.BuildConfig{
+	eng, err := shard.Build(f.data, core.BuildConfig{
 		ST: 0.2, Lengths: f.lengths, Seed: 1,
 		Normalize: core.NormalizeNone, Query: opts,
-	})
+	}, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return eng
 }
 
-func (f *ablationFixture) run(b *testing.B, eng *core.Engine, mode query.MatchMode) {
+func (f *ablationFixture) run(b *testing.B, eng *shard.Engine, mode query.MatchMode) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Proc.BestMatch(f.queries[i%len(f.queries)], mode); err != nil {
+		if _, err := eng.BestMatch(context.Background(), f.queries[i%len(f.queries)], mode); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +254,7 @@ func BenchmarkAblationExtendVsRebuild(b *testing.B) {
 		partial.Append(s.Label, s.Values)
 	}
 	cfg := core.BuildConfig{ST: 0.2, Seed: 1, Normalize: core.NormalizeNone}
-	baseEng, err := core.Build(partial, cfg)
+	baseEng, err := shard.Build(partial, cfg, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package onex_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,16 +21,20 @@ import (
 	"onex/internal/dataset"
 	"onex/internal/grouping"
 	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/stats"
 	"onex/internal/ts"
 )
+
+// bg is the context of every benchmarked engine call.
+var bg = context.Background()
 
 // benchFixture builds one dataset + engine + baselines at bench scale.
 type benchFixture struct {
 	data    *ts.Dataset
 	lengths []int
 	queries [][]float64
-	eng     *core.Engine
+	eng     *shard.Engine
 	trill   *baseline.Trillion
 	paa     *baseline.PAA
 	brute   *baseline.BruteForce
@@ -53,7 +58,7 @@ func newBenchFixture(b *testing.B, name string, scale float64, lengthCount, nQue
 			lengths = append(lengths, l)
 		}
 	}
-	eng, err := core.Build(d, core.BuildConfig{ST: 0.2, Lengths: lengths, Seed: 1, Normalize: core.NormalizeNone})
+	eng, err := shard.Build(d, core.BuildConfig{ST: 0.2, Lengths: lengths, Seed: 1, Normalize: core.NormalizeNone}, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func BenchmarkFig2SimilarityTime(b *testing.B) {
 	f := newBenchFixture(b, "ItalyPower", 1, 8, 8)
 	b.Run("ONEX", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.Proc.BestMatch(f.queries[i%len(f.queries)], query.MatchAny); err != nil {
+			if _, err := f.eng.BestMatch(bg, f.queries[i%len(f.queries)], query.MatchAny); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -133,7 +138,7 @@ func BenchmarkFig3Scalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		lengths := []int{25, 50, 75, 100}
-		eng, err := core.Build(d, core.BuildConfig{ST: 0.2, Lengths: lengths, Seed: 1, Normalize: core.NormalizeNone})
+		eng, err := shard.Build(d, core.BuildConfig{ST: 0.2, Lengths: lengths, Seed: 1, Normalize: core.NormalizeNone}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +149,7 @@ func BenchmarkFig3Scalability(b *testing.B) {
 		q := append([]float64(nil), d.Series[0].Values[10:60]...)
 		b.Run(fmt.Sprintf("ONEX/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Proc.BestMatch(q, query.MatchAny); err != nil {
+				if _, err := eng.BestMatch(bg, q, query.MatchAny); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,14 +171,14 @@ func BenchmarkFig4Seasonal(b *testing.B) {
 	l := f.lengths[len(f.lengths)/2]
 	b.Run("SampleTS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.Proc.SeasonalSample(i%f.data.N(), l); err != nil {
+			if _, err := f.eng.SeasonalSample(i%f.data.N(), l); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("AllTS", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.Proc.SeasonalAll(l); err != nil {
+			if _, err := f.eng.SeasonalAll(l); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -235,13 +240,13 @@ func tradeoffBench(b *testing.B, name string, scale float64) {
 		exact = append(exact, m.Dist)
 	}
 	for _, st := range []float64{0.1, 0.2, 0.4} {
-		eng, err := core.Build(f.data, core.BuildConfig{ST: st, Lengths: f.lengths, Seed: 1, Normalize: core.NormalizeNone})
+		eng, err := shard.Build(f.data, core.BuildConfig{ST: st, Lengths: f.lengths, Seed: 1, Normalize: core.NormalizeNone}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var dists []float64
 		for _, q := range f.queries {
-			m, err := eng.Proc.BestMatch(q, query.MatchAny)
+			m, err := eng.BestMatch(bg, q, query.MatchAny)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -253,7 +258,7 @@ func tradeoffBench(b *testing.B, name string, scale float64) {
 		}
 		b.Run(fmt.Sprintf("ST=%.1f", st), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Proc.BestMatch(f.queries[i%len(f.queries)], query.MatchAny); err != nil {
+				if _, err := eng.BestMatch(bg, f.queries[i%len(f.queries)], query.MatchAny); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -274,7 +279,7 @@ func BenchmarkTable1SameLengthTime(b *testing.B) {
 	f := newBenchFixture(b, "ECG", 0.15, 6, 6)
 	b.Run("ONEX-S", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.Proc.BestMatch(f.queries[i%len(f.queries)], query.MatchExact); err != nil {
+			if _, err := f.eng.BestMatch(bg, f.queries[i%len(f.queries)], query.MatchExact); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -309,7 +314,7 @@ func accuracyBench(b *testing.B, sameLength bool) {
 			b.Fatal(err)
 		}
 		exact = append(exact, em.Dist)
-		om, err := f.eng.Proc.BestMatch(q, mode)
+		om, err := f.eng.BestMatch(bg, q, mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,7 +335,7 @@ func accuracyBench(b *testing.B, sameLength bool) {
 	}
 	b.Run("ONEX", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := f.eng.Proc.BestMatch(f.queries[i%len(f.queries)], mode); err != nil {
+			if _, err := f.eng.BestMatch(bg, f.queries[i%len(f.queries)], mode); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -94,31 +94,34 @@
 //
 // Options.Shards hash-partitions one dataset's series across N engine
 // shards (internal/shard), each holding its own GTI/LSI index layers — the
-// O(g²) inter-representative matrix, envelopes and scan orders — over just
-// its series, derived concurrently on the worker pool and queried by
-// scatter-gather: the representative scan fans across shard-owned groups
-// with a shared atomic best-so-far bound (each global group is scanned by
-// exactly one shard), range search runs verbatim per shard and concatenates,
-// and group mining replays the global pivot walk. The similarity grouping
-// itself stays global and deterministic — ONEX's query semantics are
-// grouping-dependent, so independent per-shard groupings would change
-// answers — which is what makes sharding a pure scale knob:
+// sparse inter-representative distance lists, envelopes and scan orders —
+// over just its series, derived concurrently on the worker pool and queried
+// by scatter-gather: the representative scan fans across shard-owned groups
+// (each global group is scanned by exactly one shard, in its median-sum
+// order), range search runs verbatim per shard and concatenates, and group
+// mining replays the global pivot walk. There is one query engine: the
+// default Shards: 0 (or 1) base is that engine over a single in-process
+// shard holding every series. The similarity grouping itself stays global
+// and deterministic — ONEX's query semantics are grouping-dependent, so
+// independent per-shard groupings would change answers — which is what
+// makes sharding a pure scale knob:
 //
 //	base, _ := onex.Build("big", series, onex.Options{ST: 0.2, Shards: 8})
 //
 // answers BestMatch / BestKMatches / RangeSearch(Exact) / Seasonal
-// identically to Shards: 0 (the single-engine path, bit-compatible with
-// previous releases), enforced by the layout-equivalence property suite in
-// internal/shard (random datasets, query mixes and Append/Extend
+// identically to Shards: 0, down to tie-breaking (bit-equal representative
+// distances resolve to the smaller global group id at every layout),
+// enforced by the layout-equivalence property suite in internal/shard,
+// which compares every layout Float64bits-equal against a sequential
+// reference of Algorithm 2 (random datasets, query mixes and Append/Extend
 // interleavings at Parallelism 1 and 8, under -race). The SP-Space
 // guidance surface — RecommendThreshold, DegreeOf, Stats.STHalf/STFinal —
-// is likewise computed from the one global grouping (via an on-demand
-// inter-representative distance oracle, so no global O(g²) matrix is ever
-// materialized) and is bit-identical at every shard count. Caveats: two
-// representatives tying on bit-equal DTW resolve by scan order, which
-// differs between layouts (impossible on continuous data), and
-// WithThreshold requires an unsharded base. Appends and extends route
-// deterministically — series → shard is a pure hash — and refresh only the
+// is likewise computed from the one global grouping (without materializing
+// a global O(g²) matrix) and is bit-identical at every shard count, and
+// WithThreshold adapts the global grouping once and re-assembles the same
+// layout, so adapted bases are layout-invariant too. Appends and extends
+// route deterministically — series → shard is a pure hash — and refresh
+// only the
 // shards whose series or groups the step touched; snapshots persist the
 // global payload plus the layout in one stream (format v5 adds the DcTopK
 // retention setting; v3 snapshots load as one shard, v4 and earlier with
@@ -126,7 +129,7 @@
 // the hub Info and /v1/datasets/{name}/stats report the per-shard series/
 // group/byte populations; `make bench-shard` (CI: bench-shard) emits
 // BENCH_shard.json sweeping shard counts 1/2/4/8 over a homogeneous and a
-// heterogeneous population with the unsharded-equivalence check baked in.
+// heterogeneous population with the one-shard-equivalence check baked in.
 //
 // # Index memory
 //
@@ -178,7 +181,7 @@
 // ships each shard's series and owned groups to a worker keyed by
 // (dataset, generation, shard), and fans queries out with the same
 // bounds-as-hints protocol the local path uses. Because the coordinator
-// replays the monolithic decision procedure over transport answers, and
+// runs one decision procedure over transport answers, and
 // ±Inf-capable floats travel as math.Float64bits, a worker-served base
 // answers the full query mix bit-identically to the in-process engine —
 // including through mid-query worker restarts: shipping is idempotent on

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/ts"
 )
 
@@ -121,19 +123,16 @@ func RunParallelSweep(cfg Config) (*ParallelReport, []Table, error) {
 	buildCfg := func(w int) core.BuildConfig {
 		return core.BuildConfig{ST: cfg.ST, Lengths: lengths, Seed: cfg.Seed, Workers: w}
 	}
-	var eng *core.Engine
 	for _, w := range workers {
 		secs := math.Inf(1)
 		for r := 0; r < cfg.Repeats; r++ {
 			start := time.Now()
-			e, err := core.Build(data, buildCfg(w))
-			if err != nil {
+			if _, err := core.Build(data, buildCfg(w)); err != nil {
 				return nil, nil, fmt.Errorf("bench: build workers=%d: %w", w, err)
 			}
 			if s := time.Since(start).Seconds(); s < secs {
 				secs = s
 			}
-			eng = e
 		}
 		rep.Build = append(rep.Build, ParallelPoint{Workers: w, Seconds: secs, PerOpMillis: secs * 1000})
 		cfg.progressf("parallel: build workers=%d %.3fs", w, secs)
@@ -147,7 +146,9 @@ func RunParallelSweep(cfg Config) (*ParallelReport, []Table, error) {
 		dist               float64
 	}
 	run := func(p int, batch bool) ([]answer, float64, error) {
-		proc, err := query.New(eng.Base, query.Options{Parallelism: p})
+		bc := buildCfg(0)
+		bc.Query.Parallelism = p
+		eng, err := shard.Build(data, bc, 0, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -157,7 +158,7 @@ func RunParallelSweep(cfg Config) (*ParallelReport, []Table, error) {
 			out = out[:0]
 			start := time.Now()
 			if batch {
-				for _, br := range proc.BestMatchBatch(queries, query.MatchAny) {
+				for _, br := range eng.BestMatchBatch(context.Background(), queries, query.MatchAny) {
 					if br.Err != nil {
 						return nil, 0, br.Err
 					}
@@ -165,7 +166,7 @@ func RunParallelSweep(cfg Config) (*ParallelReport, []Table, error) {
 				}
 			} else {
 				for _, q := range queries {
-					m, err := proc.BestMatch(q, query.MatchAny)
+					m, err := eng.BestMatch(context.Background(), q, query.MatchAny)
 					if err != nil {
 						return nil, 0, err
 					}

@@ -5,6 +5,7 @@ import (
 
 	"onex/internal/core"
 	"onex/internal/dataset"
+	"onex/internal/shard"
 )
 
 // runFig4 regenerates Fig. 4: seasonal-similarity query time per dataset for
@@ -28,12 +29,12 @@ func runFig4(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.Build(w.Data, core.BuildConfig{
+		eng, err := shard.Build(w.Data, core.BuildConfig{
 			ST:        s.cfg.ST,
 			Lengths:   w.Lengths,
 			Seed:      s.cfg.Seed,
 			Normalize: core.NormalizeNone,
-		})
+		}, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +48,7 @@ func runFig4(s *Session) ([]Table, error) {
 			for j := 0; j < nLengths; j++ {
 				l := pickLen()
 				sec, err := timeIt(s.cfg.Repeats, func() error {
-					_, e := eng.Proc.SeasonalSample(sid, l)
+					_, e := eng.SeasonalSample(sid, l)
 					return e
 				})
 				if err != nil {
@@ -63,7 +64,7 @@ func runFig4(s *Session) ([]Table, error) {
 		for j := 0; j < nLengths; j++ {
 			l := pickLen()
 			sec, err := timeIt(s.cfg.Repeats, func() error {
-				_, e := eng.Proc.SeasonalAll(l)
+				_, e := eng.SeasonalAll(l)
 				return e
 			})
 			if err != nil {

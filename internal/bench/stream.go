@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,11 +12,12 @@ import (
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/query"
+	"onex/internal/shard"
 )
 
 // StreamReport is the machine-readable payload of the streaming-ingestion
 // sweep (BENCH_stream.json): for growing base sizes it compares the cost of
-// absorbing a point-append batch incrementally (core.Engine.Append with the
+// absorbing a point-append batch incrementally (shard.Engine.Append with the
 // amortized rebuild disabled) against a full from-scratch rebuild over the
 // final data, and measures single-query latency sustained between appends.
 type StreamReport struct {
@@ -132,11 +134,11 @@ func RunStreamSweep(cfg Config) (*StreamReport, []Table, error) {
 			Normalize:    core.NormalizeNone, // data pre-normalized above
 			RebuildDrift: -1,                 // measure the pure incremental path
 		}
-		eng, err := core.Build(data, buildCfg)
+		eng, err := shard.Build(data, buildCfg, 0, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: stream build n=%d: %w", n, err)
 		}
-		pt := StreamPoint{Series: n, Subsequences: eng.Base.TotalSubseq}
+		pt := StreamPoint{Series: n, Subsequences: eng.TotalSubseq()}
 
 		// The append workload: batches of in-range points round-robined over
 		// the series, plus one interleaved query per batch.
@@ -153,7 +155,7 @@ func RunStreamSweep(cfg Config) (*StreamReport, []Table, error) {
 
 		pt.AppendSeconds = math.Inf(1)
 		var queryMillis float64
-		var finalEng *core.Engine
+		var finalEng *shard.Engine
 		for rpt := 0; rpt < cfg.Repeats; rpt++ {
 			cur := eng
 			var appendTotal, queryTotal time.Duration
@@ -167,7 +169,7 @@ func RunStreamSweep(cfg Config) (*StreamReport, []Table, error) {
 				appendTotal += time.Since(start)
 				cur = next
 				qs := time.Now()
-				if _, err := cur.Proc.BestMatch(queries[b], query.MatchAny); err != nil {
+				if _, err := cur.BestMatch(context.Background(), queries[b], query.MatchAny); err != nil {
 					return nil, nil, err
 				}
 				queryTotal += time.Since(qs)
@@ -182,9 +184,14 @@ func RunStreamSweep(cfg Config) (*StreamReport, []Table, error) {
 		pt.Drift = finalEng.Drift()
 
 		// Integrity: the incremental base must account for every window of
-		// the final data.
-		finalData := finalEng.Base.Dataset
-		if got, want := finalEng.Base.TotalSubseq, finalData.SubseqCount(lengths); got != want {
+		// the final data (the same batches applied to a copy of the input).
+		finalData := data.CloneShared()
+		for b := 0; b < batches; b++ {
+			if err := finalData.AppendPoints(mkBatch(b)); err != nil {
+				return nil, nil, err
+			}
+		}
+		if got, want := finalEng.TotalSubseq(), finalData.SubseqCount(lengths); got != want {
 			return nil, nil, fmt.Errorf("bench: stream n=%d: incremental base has %d subsequences, want %d", n, got, want)
 		}
 

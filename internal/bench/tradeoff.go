@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"onex/internal/core"
 	"onex/internal/dataset"
 	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/stats"
 )
 
@@ -62,12 +64,12 @@ func (s *Session) tradeoffOne(title, name string) (Table, error) {
 	}
 	for _, st := range tradeoffSweep {
 		s.cfg.progressf("  %s ST=%.1f tradeoff…", name, st)
-		eng, err := core.Build(w.Data, core.BuildConfig{
+		eng, err := shard.Build(w.Data, core.BuildConfig{
 			ST:        st,
 			Lengths:   w.Lengths,
 			Seed:      s.cfg.Seed,
 			Normalize: core.NormalizeNone,
-		})
+		}, 0, nil)
 		if err != nil {
 			return Table{}, err
 		}
@@ -77,7 +79,7 @@ func (s *Session) tradeoffOne(title, name string) (Table, error) {
 			var m query.Match
 			sec, err := timeIt(s.cfg.Repeats, func() error {
 				var e error
-				m, e = eng.Proc.BestMatch(q.Values, query.MatchAny)
+				m, e = eng.BestMatch(context.Background(), q.Values, query.MatchAny)
 				return e
 			})
 			if err != nil {
@@ -94,7 +96,7 @@ func (s *Session) tradeoffOne(title, name string) (Table, error) {
 			fmt.Sprintf("%.1f", st),
 			pct(acc),
 			secs(total / float64(len(w.Queries))),
-			secs(eng.BuildTime.Seconds()),
+			secs(eng.BuildTime().Seconds()),
 		})
 	}
 	return t, nil

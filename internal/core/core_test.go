@@ -1,10 +1,14 @@
-package core
+package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"onex/internal/core"
 	"onex/internal/dataset"
+	"onex/internal/query"
+	"onex/internal/shard"
 	"onex/internal/ts"
 )
 
@@ -18,17 +22,17 @@ func TestBuildValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		d    *ts.Dataset
-		cfg  BuildConfig
+		cfg  core.BuildConfig
 	}{
-		{"nil dataset", nil, BuildConfig{ST: 0.2}},
-		{"empty dataset", &ts.Dataset{}, BuildConfig{ST: 0.2}},
-		{"zero ST", d, BuildConfig{ST: 0}},
-		{"bad normalize", d, BuildConfig{ST: 0.2, Normalize: NormalizeMode(9)}},
-		{"NaN data", ts.NewDataset("t", [][]float64{{math.NaN()}}), BuildConfig{ST: 0.2}},
+		{"nil dataset", nil, core.BuildConfig{ST: 0.2}},
+		{"empty dataset", &ts.Dataset{}, core.BuildConfig{ST: 0.2}},
+		{"zero ST", d, core.BuildConfig{ST: 0}},
+		{"bad normalize", d, core.BuildConfig{ST: 0.2, Normalize: core.NormalizeMode(9)}},
+		{"NaN data", ts.NewDataset("t", [][]float64{{math.NaN()}}), core.BuildConfig{ST: 0.2}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Build(c.d, c.cfg); err == nil {
+			if _, err := core.Build(c.d, c.cfg); err == nil {
 				t.Error("want error")
 			}
 		})
@@ -38,19 +42,19 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildLeavesInputUntouched(t *testing.T) {
 	d := fixture(t)
 	orig := append([]float64(nil), d.Series[0].Values...)
-	if _, err := Build(d, BuildConfig{ST: 0.2, Lengths: []int{6}}); err != nil {
+	if _, err := core.Build(d, core.BuildConfig{ST: 0.2, Lengths: []int{6}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range orig {
 		if d.Series[0].Values[i] != orig[i] {
-			t.Fatal("Build mutated the input dataset")
+			t.Fatal("core.Build mutated the input dataset")
 		}
 	}
 }
 
 func TestBuildNormalizeNoneIndexesRaw(t *testing.T) {
 	d := ts.NewDataset("t", [][]float64{{0, 100, 0, 100, 0, 100}})
-	eng, err := Build(d, BuildConfig{ST: 0.2, Lengths: []int{3}, Normalize: NormalizeNone})
+	eng, err := core.Build(d, core.BuildConfig{ST: 0.2, Lengths: []int{3}, Normalize: core.NormalizeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +74,24 @@ func TestBuildNormalizeNoneIndexesRaw(t *testing.T) {
 
 func TestBuildAndQueryRoundTrip(t *testing.T) {
 	d := fixture(t)
-	eng, err := Build(d, BuildConfig{ST: 0.2, Lengths: []int{6, 12}, Seed: 3})
+	eng, err := core.Build(d, core.BuildConfig{ST: 0.2, Lengths: []int{6, 12}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.BuildTime <= 0 {
 		t.Error("BuildTime not recorded")
 	}
+	// The built index serves queries through the one engine.
+	e, err := shard.Build(d, core.BuildConfig{ST: 0.2, Lengths: []int{6, 12}, Seed: 3}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.TotalGroups() != eng.Base.TotalGroups() || e.TotalSubseq() != eng.Base.TotalSubseq {
+		t.Errorf("engine indexes %d groups/%d subsequences, core.Build %d/%d",
+			e.TotalGroups(), e.TotalSubseq(), eng.Base.TotalGroups(), eng.Base.TotalSubseq)
+	}
 	q := append([]float64(nil), eng.Base.Dataset.Series[0].Values[2:14]...)
-	m, err := eng.Proc.BestMatch(q, 0 /* MatchExact */)
+	m, err := e.BestMatch(context.Background(), q, query.MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +102,7 @@ func TestBuildAndQueryRoundTrip(t *testing.T) {
 
 func TestWithThreshold(t *testing.T) {
 	d := fixture(t)
-	eng, err := Build(d, BuildConfig{ST: 0.2, Lengths: []int{6}, Seed: 3})
+	eng, err := shard.Build(d, core.BuildConfig{ST: 0.2, Lengths: []int{6}, Seed: 3}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +110,10 @@ func TestWithThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adapted.Base.ST != 0.4 {
-		t.Errorf("adapted ST = %v", adapted.Base.ST)
+	if adapted.ST() != 0.4 {
+		t.Errorf("adapted ST = %v", adapted.ST())
 	}
-	if adapted.Base.TotalGroups() > eng.Base.TotalGroups() {
+	if adapted.TotalGroups() > eng.TotalGroups() {
 		t.Error("loosening gained groups")
 	}
 	if _, err := eng.WithThreshold(0); err == nil {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"onex/internal/core"
+	"onex/internal/shard"
 	"onex/internal/ts"
 )
 
@@ -52,8 +54,9 @@ func TestExtendNormalizationPaths(t *testing.T) {
 		{0, 10, 0, 10, 0, 10, 0, 10},
 		{5, 15, 5, 15, 5, 15, 5, 15},
 	})
+	build := func(cfg core.BuildConfig) (*shard.Engine, error) { return shard.Build(raw, cfg, 0, nil) }
 	// Dataset-level min-max: new series scaled with the ORIGINAL min/max.
-	eng, err := Build(raw, BuildConfig{ST: 0.3, Lengths: []int{4}, Normalize: NormalizeDataset})
+	eng, err := build(core.BuildConfig{ST: 0.3, Lengths: []int{4}, Normalize: core.NormalizeDataset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +64,14 @@ func TestExtendNormalizationPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ext.Base.Dataset.Series[2].Values
+	got := ext.Window(2, 0, 8)
 	// Original min=0 max=15 → 30 maps to 2.0 (outside [0,1], by design).
 	if got[1] != 2 {
 		t.Errorf("dataset-mode extend scaled 30 to %v, want 2", got[1])
 	}
 
 	// Per-series: each new series on its own scale.
-	engPS, err := Build(raw, BuildConfig{ST: 0.3, Lengths: []int{4}, Normalize: NormalizePerSeries})
+	engPS, err := build(core.BuildConfig{ST: 0.3, Lengths: []int{4}, Normalize: core.NormalizePerSeries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestExtendNormalizationPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = extPS.Base.Dataset.Series[2].Values
+	got = extPS.Window(2, 0, 8)
 	if got[0] != 0 || got[1] != 1 {
 		t.Errorf("per-series extend = %v, want [0 1 …]", got[:2])
 	}
@@ -86,7 +89,7 @@ func TestExtendNormalizationPaths(t *testing.T) {
 	}
 
 	// NormalizeNone: raw append.
-	engNone, err := Build(raw, BuildConfig{ST: 9, Lengths: []int{4}, Normalize: NormalizeNone})
+	engNone, err := build(core.BuildConfig{ST: 9, Lengths: []int{4}, Normalize: core.NormalizeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +97,13 @@ func TestExtendNormalizationPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extNone.Base.Dataset.Series[2].Values[0] != 42 {
+	if extNone.Window(2, 0, 1)[0] != 42 {
 		t.Error("none-mode extend altered raw values")
 	}
 }
 
 func TestExtendErrorPaths(t *testing.T) {
-	d := fixture(t)
-	eng, err := Build(d, BuildConfig{ST: 0.2, Lengths: []int{6}})
+	eng, err := shard.Build(fixture(t), core.BuildConfig{ST: 0.2, Lengths: []int{6}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +120,11 @@ func TestExtendErrorPaths(t *testing.T) {
 
 func TestBuildTimeFormatsInErrors(t *testing.T) {
 	// Guard the error-message contract: invalid configs mention the value.
-	_, err := Build(fixture(t), BuildConfig{ST: -3})
+	_, err := core.Build(fixture(t), core.BuildConfig{ST: -3})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("-3")) {
 		t.Errorf("error does not mention the offending ST: %v", err)
 	}
-	_, err = Build(fixture(t), BuildConfig{ST: 0.2, Normalize: NormalizeMode(7)})
+	_, err = core.Build(fixture(t), core.BuildConfig{ST: 0.2, Normalize: core.NormalizeMode(7)})
 	if err == nil {
 		t.Error("bad mode: want error")
 	}

@@ -12,7 +12,6 @@ import (
 
 	"onex/internal/grouping"
 	"onex/internal/query"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -79,12 +78,10 @@ func (c *crcReader) Read(p []byte) (int, error) {
 }
 
 // Snapshot is the decoded persistent state of an engine: everything a
-// Save stream carries. The sharded engine persists the same payload plus a
-// Shards count > 1; the per-shard restrictions, like every index layer, are
-// derived state recomputed on load.
+// stream carries. The per-shard restrictions, like every index layer, are
+// derived state recomputed on load (internal/shard).
 type Snapshot struct {
-	// Shards is the serving layout: 1 for a monolithic engine, else the
-	// shard count of an internal/shard engine.
+	// Shards is the serving layout's shard count.
 	Shards int
 	// Cfg is the build configuration (ST, seed, lengths, query options…).
 	Cfg BuildConfig
@@ -99,25 +96,6 @@ type Snapshot struct {
 	Dataset *ts.Dataset
 	// Grouped is the (global) grouping result, drift counters included.
 	Grouped *grouping.Result
-}
-
-// Save serializes the engine's base (normalized dataset + similarity
-// groups + build configuration) so it can be reloaded without re-running
-// Algorithm 1. Threshold-adapted engines cannot be saved (persist the
-// original base and re-adapt after load).
-func (e *Engine) Save(w io.Writer) error {
-	if e.grouped == nil {
-		return errors.New("core: threshold-adapted engines cannot be saved; save the original base")
-	}
-	return EncodeSnapshot(w, &Snapshot{
-		Shards:    1,
-		Cfg:       e.cfg,
-		NormMin:   e.normMin,
-		NormMax:   e.normMax,
-		BuildTime: e.BuildTime,
-		Dataset:   e.Base.Dataset,
-		Grouped:   e.grouped,
-	})
 }
 
 // EncodeSnapshot writes one snapshot as a version-5 ONEX base stream.
@@ -220,22 +198,6 @@ func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// Load reconstructs a monolithic engine from a Save stream: the dataset and
-// groups are decoded, and the GTI/LSI/SP-Space index layers are rebuilt.
-// Streams written by the sharded engine (shard count > 1) are refused here —
-// load them through the onex package (or internal/shard), which re-derives
-// the shard layout.
-func Load(r io.Reader) (*Engine, error) {
-	snap, err := DecodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Shards > 1 {
-		return nil, fmt.Errorf("core: stream is a %d-shard base; load it through the onex package", snap.Shards)
-	}
-	return FromSnapshot(snap)
 }
 
 // DecodeSnapshot reads and checksums one ONEX base stream without building
@@ -432,33 +394,6 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		BuildTime: origBuild,
 		Dataset:   d,
 		Grouped:   gr,
-	}, nil
-}
-
-// FromSnapshot materializes a monolithic engine from a decoded snapshot:
-// the GTI/LSI/SP-Space index layers are rebuilt over the stored dataset and
-// groups. The snapshot's Shards field is ignored here — internal/shard uses
-// it to re-derive a sharded layout from the same payload.
-func FromSnapshot(snap *Snapshot) (*Engine, error) {
-	start := time.Now()
-	base, err := rspace.New(snap.Dataset, snap.Grouped, rspace.Options{TopK: snap.Cfg.DcTopK})
-	if err != nil {
-		return nil, err
-	}
-	proc, err := query.New(base, snap.Cfg.Query)
-	if err != nil {
-		return nil, err
-	}
-	buildTime := time.Since(start)
-	if snap.BuildTime > 0 {
-		// Report the original offline construction cost, not the (much
-		// cheaper) index rebuild — the point of snapshots is skipping it.
-		buildTime = snap.BuildTime
-	}
-	return &Engine{
-		Base: base, Proc: proc, BuildTime: buildTime,
-		cfg: snap.Cfg, normMin: snap.NormMin, normMax: snap.NormMax, grouped: snap.Grouped,
-		savedAt: snap.SavedAt,
 	}, nil
 }
 

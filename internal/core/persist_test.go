@@ -1,58 +1,64 @@
-package core
+package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
 
+	"onex/internal/core"
 	"onex/internal/query"
+	"onex/internal/shard"
 )
 
-func buildPersistFixture(t *testing.T) *Engine {
+func buildPersistFixture(t *testing.T) *shard.Engine {
 	t.Helper()
-	d := fixture(t)
-	eng, err := Build(d, BuildConfig{
+	eng, err := shard.Build(fixture(t), core.BuildConfig{
 		ST: 0.2, Lengths: []int{6, 12}, Seed: 3,
 		Query: query.Options{CandidateLimit: 7, Patience: 16},
-	})
+	}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	eng := buildPersistFixture(t)
+func saved(t *testing.T, eng *shard.Engine) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	return buf.Bytes()
+}
+
+func TestSaveLoadRoundTrip(t *testing.T) {
+	eng := buildPersistFixture(t)
+	loaded, err := shard.Load(bytes.NewReader(saved(t, eng)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Structure identical.
-	if loaded.Base.ST != eng.Base.ST {
-		t.Errorf("ST %v != %v", loaded.Base.ST, eng.Base.ST)
+	if loaded.ST() != eng.ST() {
+		t.Errorf("ST %v != %v", loaded.ST(), eng.ST())
 	}
-	if loaded.Base.TotalGroups() != eng.Base.TotalGroups() {
-		t.Errorf("groups %d != %d", loaded.Base.TotalGroups(), eng.Base.TotalGroups())
+	if loaded.TotalGroups() != eng.TotalGroups() {
+		t.Errorf("groups %d != %d", loaded.TotalGroups(), eng.TotalGroups())
 	}
-	if loaded.Base.TotalSubseq != eng.Base.TotalSubseq {
-		t.Errorf("subseq %d != %d", loaded.Base.TotalSubseq, eng.Base.TotalSubseq)
+	if loaded.TotalSubseq() != eng.TotalSubseq() {
+		t.Errorf("subseq %d != %d", loaded.TotalSubseq(), eng.TotalSubseq())
 	}
-	if loaded.Base.GlobalSTHalf != eng.Base.GlobalSTHalf ||
-		loaded.Base.GlobalSTFinal != eng.Base.GlobalSTFinal {
+	if loaded.STHalf() != eng.STHalf() || loaded.STFinal() != eng.STFinal() {
 		t.Error("SP-Space thresholds differ after round trip")
 	}
-	// Queries agree bit-for-bit.
-	q := append([]float64(nil), eng.Base.Dataset.Series[1].Values[3:15]...)
-	m1, err := eng.Proc.BestMatch(q, query.MatchExact)
+	// Queries agree bit-for-bit (the query options survived too).
+	q := append([]float64(nil), eng.Window(1, 3, 12)...)
+	m1, err := eng.BestMatch(context.Background(), q, query.MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := loaded.Proc.BestMatch(q, query.MatchExact)
+	m2, err := loaded.BestMatch(context.Background(), q, query.MatchExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Load(bytes.NewReader(c.data)); err == nil {
+			if _, err := core.DecodeSnapshot(bytes.NewReader(c.data)); err == nil {
 				t.Error("want error")
 			}
 		})
@@ -95,30 +101,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	eng := buildPersistFixture(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(persistMagic)] = 99 // bump version byte
-	_, err := Load(bytes.NewReader(data))
-	if !errors.Is(err, ErrBadVersion) {
+	data := saved(t, buildPersistFixture(t))
+	data[len("ONEXBASE")] = 99 // bump version byte
+	_, err := core.DecodeSnapshot(bytes.NewReader(data))
+	if !errors.Is(err, core.ErrBadVersion) {
 		t.Errorf("err = %v, want ErrBadVersion", err)
 	}
 }
 
 func TestLoadDetectsCorruption(t *testing.T) {
-	eng := buildPersistFixture(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saved(t, buildPersistFixture(t))
 	// Flip a byte in the middle of the payload.
 	data[len(data)/2] ^= 0xFF
-	_, err := Load(bytes.NewReader(data))
-	if err == nil {
+	if _, err := shard.Load(bytes.NewReader(data), nil); err == nil {
 		t.Fatal("corrupted stream loaded without error")
 	}
 	// Either the checksum catches it or a range check does; both are fine,
@@ -126,14 +121,9 @@ func TestLoadDetectsCorruption(t *testing.T) {
 }
 
 func TestLoadDetectsTruncation(t *testing.T) {
-	eng := buildPersistFixture(t)
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saved(t, buildPersistFixture(t))
 	for _, cut := range []int{len(data) / 4, len(data) / 2, len(data) - 2} {
-		if _, err := Load(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := shard.Load(bytes.NewReader(data[:cut]), nil); err == nil {
 			t.Errorf("truncation at %d loaded without error", cut)
 		}
 	}

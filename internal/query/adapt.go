@@ -8,14 +8,14 @@ import (
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
+	"onex/internal/ts"
 )
 
 // AdaptThreshold implements Algorithm 2.C / Sec. 5.2: given a new similarity
-// threshold ST′ it derives an adapted base from the precomputed groups
-// without reclustering the raw data.
+// threshold ST′ it derives an adapted grouping from the precomputed global
+// groups of dataset d without reclustering the raw data.
 //
-//   - ST′ == ST: the precomputed groups are returned as-is (a new Base view
+//   - ST′ == ST: the precomputed groups are returned as-is (a new Result
 //     sharing the group objects).
 //   - ST′ <  ST: each group is split by re-running the Algorithm 1 loop over
 //     its own members at radius ST′/2 — similarity at ST implies the members
@@ -27,46 +27,48 @@ import (
 //     pair to make adaptation deterministic, which is one of the paper's
 //     admissible choices).
 //
-// The returned Processor owns a fresh rspace.Base (new GTI/LSI/SP-Space over
-// the adapted groups) and leaves the original base untouched.
-func (p *Processor) AdaptThreshold(stPrime float64) (*Processor, error) {
+// The result is a pure function of (d, gr, ST′) — the same at every shard
+// layout — and leaves gr untouched; the caller derives the index layers
+// over it like over any grouping. Its drift counter starts at zero.
+func AdaptThreshold(d *ts.Dataset, gr *grouping.Result, stPrime float64) (*grouping.Result, error) {
 	if stPrime <= 0 || math.IsNaN(stPrime) || math.IsInf(stPrime, 0) {
 		return nil, fmt.Errorf("query: adapted threshold must be positive, got %v", stPrime)
 	}
-	st := p.base.ST
-	adapted := &grouping.Result{
-		ST:       stPrime,
-		Lengths:  append([]int(nil), p.base.Lengths...),
-		ByLength: make(map[int]*grouping.LengthGroups, len(p.base.Lengths)),
+	if d == nil || gr == nil {
+		return nil, fmt.Errorf("query: nil dataset or grouping")
 	}
-	adapted.TotalSubseq = p.base.TotalSubseq
-
-	for _, l := range p.base.Lengths {
-		e := p.base.Entry(l)
+	adapted := &grouping.Result{
+		ST:          stPrime,
+		Lengths:     append([]int(nil), gr.Lengths...),
+		ByLength:    make(map[int]*grouping.LengthGroups, len(gr.Lengths)),
+		TotalSubseq: gr.TotalSubseq,
+	}
+	for _, l := range gr.Lengths {
+		src := gr.ByLength[l]
 		var lg *grouping.LengthGroups
 		switch {
-		case stPrime == st:
-			lg = &grouping.LengthGroups{Length: l, Groups: e.Groups}
-		case stPrime < st:
-			lg = splitLength(p, e, stPrime)
+		case stPrime == gr.ST:
+			lg = &grouping.LengthGroups{Length: l, Groups: src.Groups}
+		case stPrime < gr.ST:
+			lg = splitLength(d, src, stPrime)
 		default:
-			lg = mergeLength(p, e, stPrime-st)
+			lg = mergeLength(d, src, stPrime-gr.ST)
 		}
 		adapted.ByLength[l] = lg
 	}
+	return adapted, nil
+}
 
-	nb, err := rspace.New(p.base.Dataset, adapted, rspace.Options{TopK: p.base.TopK})
-	if err != nil {
-		return nil, err
-	}
-	return New(nb, p.opts)
+// window returns member m's values in a group of the given length.
+func window(d *ts.Dataset, m grouping.Member, length int) []float64 {
+	return d.Series[m.SeriesIdx].Values[m.Start : m.Start+length]
 }
 
 // splitLength re-clusters each group's members at the smaller radius
 // ST′/2 using the same nearest-representative pass as Algorithm 1. Member
 // order is a seeded shuffle (seeded by length and group) so adaptation is
 // deterministic.
-func splitLength(p *Processor, e *rspace.LengthEntry, stPrime float64) *grouping.LengthGroups {
+func splitLength(d *ts.Dataset, e *grouping.LengthGroups, stPrime float64) *grouping.LengthGroups {
 	lg := &grouping.LengthGroups{Length: e.Length}
 	radiusSq := float64(e.Length) * stPrime * stPrime / 4
 	invSqrtL := 1 / math.Sqrt(float64(e.Length))
@@ -81,7 +83,7 @@ func splitLength(p *Processor, e *rspace.LengthEntry, stPrime float64) *grouping
 		}
 		var subs []*building
 		for _, m := range members {
-			v := p.base.MemberValues(g, m)
+			v := window(d, m, e.Length)
 			bestSq := math.Inf(1)
 			bestIdx := -1
 			for si, sub := range subs {
@@ -122,8 +124,7 @@ func splitLength(p *Processor, e *rspace.LengthEntry, stPrime float64) *grouping
 			}
 			for mi := range ng.Members {
 				m := &ng.Members[mi]
-				v := p.base.Dataset.Series[m.SeriesIdx].Values[m.Start : m.Start+e.Length]
-				m.EDToRep = dist.ED(v, ng.Rep) * invSqrtL
+				m.EDToRep = dist.ED(window(d, *m, e.Length), ng.Rep) * invSqrtL
 			}
 			sort.Slice(ng.Members, func(a, b int) bool {
 				return ng.Members[a].EDToRep < ng.Members[b].EDToRep
@@ -136,7 +137,7 @@ func splitLength(p *Processor, e *rspace.LengthEntry, stPrime float64) *grouping
 
 // mergeLength cascades pairwise merges while some pair satisfies
 // ST′ − ST ≥ Dc (Algorithm 2.C case 3.2a). delta is ST′ − ST.
-func mergeLength(p *Processor, e *rspace.LengthEntry, delta float64) *grouping.LengthGroups {
+func mergeLength(d *ts.Dataset, e *grouping.LengthGroups, delta float64) *grouping.LengthGroups {
 	type merged struct {
 		rep, sum []float64
 		count    int
@@ -198,8 +199,7 @@ func mergeLength(p *Processor, e *rspace.LengthEntry, delta float64) *grouping.L
 		}
 		for mi := range ng.Members {
 			mm := &ng.Members[mi]
-			v := p.base.Dataset.Series[mm.SeriesIdx].Values[mm.Start : mm.Start+e.Length]
-			mm.EDToRep = dist.ED(v, ng.Rep) * invSqrtL
+			mm.EDToRep = dist.ED(window(d, *mm, e.Length), ng.Rep) * invSqrtL
 		}
 		sort.Slice(ng.Members, func(x, y int) bool {
 			return ng.Members[x].EDToRep < ng.Members[y].EDToRep

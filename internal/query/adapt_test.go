@@ -8,17 +8,17 @@ import (
 	"onex/internal/grouping"
 )
 
-func adaptFixture(t *testing.T) *Processor {
+func adaptFixture(t *testing.T) *testEngine {
 	t.Helper()
 	d := dataset.ItalyPower.Scaled(0.4).Generate(6)
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	return buildProcessor(t, d, 0.2, []int{5, 9}, Options{})
+	return buildEngine(t, d, 0.2, []int{5, 9}, Options{})
 }
 
 // memberCount sums members across all groups of a length.
-func memberCount(p *Processor, length int) int {
+func memberCount(p *testEngine, length int) int {
 	total := 0
 	for _, g := range p.Base().Entry(length).Groups {
 		total += g.Count()

@@ -2,11 +2,10 @@ package query
 
 import "sync/atomic"
 
-// Counters accumulates lifetime work counters across every query a
-// processor answers. One Counters instance is shared by a processor and all
-// the views derived from it (sequential(), batch executors, a Scatter's
-// global processor), so the serving layer reads one coherent tally per
-// dataset engine. All methods are safe for concurrent use.
+// Counters accumulates lifetime work counters across every query an engine
+// answers. One Counters instance is held by a Scatter's global processor
+// and shared by every view derived from it (batch executors), so the
+// serving layer reads one coherent tally per dataset engine. All methods are safe for concurrent use.
 //
 // Queries counts every answered call of every family. The bound-pruning
 // counters (RepsExamined .. MembersTested) fold in the per-query traces of
@@ -83,9 +82,6 @@ func (c *Counters) Snapshot() CountersSnapshot {
 	}
 }
 
-// Counters returns the processor's shared tally.
-func (p *Processor) Counters() *Counters { return p.counters }
-
-// Counters returns the scatter executor's shared tally (held by its global
-// processor, so mono and scattered paths account identically).
+// Counters returns the engine's lifetime tally (held by its global
+// processor).
 func (s *Scatter) Counters() *Counters { return s.global.counters }

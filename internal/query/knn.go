@@ -1,185 +1,12 @@
 package query
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"onex/internal/dist"
-	"onex/internal/grouping"
-	"onex/internal/obs"
-	"onex/internal/parallel"
 	"onex/internal/rspace"
 )
-
-// BestKMatches answers the k-nearest-neighbour extension of query class I:
-// the k subsequences most similar to q under normalized DTW, ordered best
-// first. The paper's processor returns the single best match (k=1); k-NN is
-// the natural generalization its range/NN-search related work discusses
-// (Sec. 7) and falls out of the same group exploration: representatives are
-// visited in the Sec. 5.3 order and the k-th best distance replaces the
-// best-so-far as the pruning/early-abandon cutoff.
-//
-// Results can span multiple groups: after mining the best representative's
-// group, the processor continues through remaining representatives whose
-// lower bounds beat the current k-th distance.
-func (p *Processor) BestKMatches(q []float64, mode MatchMode, k int) ([]Match, error) {
-	return p.BestKMatchesObserved(q, mode, k, nil)
-}
-
-// BestKMatchesObserved is BestKMatches with work accounting: the cascade's
-// trace folds into the lifetime Counters (so /v1/stats counts k-NN work,
-// not just Q1's) and, with a non-nil rec, per-length scan/refine spans and
-// the query's work totals are recorded. Tracing only observes — results
-// are bit-identical with rec nil or not.
-func (p *Processor) BestKMatchesObserved(q []float64, mode MatchMode, k int, rec *obs.Trace) ([]Match, error) {
-	var tr Trace
-	defer func() { p.counters.tick(); p.counters.fold(tr); observe(rec, tr) }()
-	if k < 1 {
-		return nil, fmt.Errorf("query: k must be ≥ 1, got %d", k)
-	}
-	if err := validateQuery(q); err != nil {
-		return nil, err
-	}
-	ws := p.pool.Get()
-	defer p.pool.Put(ws)
-	order := dist.QueryOrder(q)
-	heap := newTopK(k)
-
-	var lengths []int
-	switch mode {
-	case MatchExact:
-		if p.base.Entry(len(q)) == nil {
-			return nil, fmt.Errorf("query: length %d not indexed", len(q))
-		}
-		lengths = []int{len(q)}
-	case MatchAny:
-		lengths = p.lengthOrder(len(q))
-		if len(lengths) == 0 {
-			return nil, fmt.Errorf("query: base has no indexed lengths")
-		}
-	default:
-		return nil, fmt.Errorf("query: unknown match mode %d", mode)
-	}
-
-	for _, l := range lengths {
-		if mode == MatchAny {
-			tr.LengthsVisited++
-		}
-		p.searchLengthK(q, order, p.base.Entry(l), ws, heap, &tr, rec)
-	}
-	out := heap.sorted()
-	if len(out) == 0 {
-		return nil, fmt.Errorf("query: no candidates found")
-	}
-	return out, nil
-}
-
-// searchLengthK mines every group of one length whose representative's
-// lower bounds beat the current k-th distance. Unlike the 1-NN path it
-// cannot stop at the single best representative: a group whose rep is
-// slightly farther can still hold top-k members, so groups are visited in
-// increasing rep-DTW order until the rep's own DTW exceeds the k-th
-// distance plus the group radius (in raw units) — a heuristic cut mirroring
-// the paper's ST/2-based guarantee.
-//
-// Both phases shard across the worker pool when Parallelism > 1. The rep
-// scan's cutoff is constant for the whole length (the heap cannot tighten
-// during it), so fanning it out is trivially answer-preserving; member
-// verification runs in fixed-size rounds whose heap pushes are replayed in
-// member order against the exact distances, reaching the same heap state as
-// the sequential scan (see mineGroup for the argument).
-func (p *Processor) searchLengthK(q []float64, order []int, e *rspace.LengthEntry,
-	ws *dist.Workspace, heap *topK, tr *Trace, rec *obs.Trace) {
-
-	if e == nil || len(e.Groups) == 0 {
-		return
-	}
-	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	sameLen := e.Length == len(q)
-	radiusRaw := p.base.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
-
-	var sc obs.SpanScope
-	var pre Trace
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("scan")
-	}
-	type repDist struct {
-		k int
-		d float64
-	}
-	// No heap pushes happen during the rep scan, so the cutoff is fixed for
-	// the whole length and the scan parallelizes without changing answers.
-	scanCutoff := heap.kth()*divisor + radiusRaw
-	scanOne := func(ws *dist.Workspace, k int, ltr *Trace) (float64, bool) {
-		return p.scanRepFixed(ws, q, order, e.Groups[k].Rep, e.Envelopes[k], sameLen, scanCutoff, ltr)
-	}
-	var reps []repDist
-	if p.workers <= 1 || len(e.MedianOrder) < scanParallelMin {
-		reps = make([]repDist, 0, len(e.Groups))
-		for _, k := range e.MedianOrder {
-			if d, ok := scanOne(ws, k, tr); ok {
-				reps = append(reps, repDist{k: k, d: d})
-			}
-		}
-	} else {
-		found := make([]repDist, len(e.MedianOrder))
-		kept := make([]bool, len(e.MedianOrder))
-		workers := p.workers
-		if workers > len(e.MedianOrder) {
-			workers = len(e.MedianOrder)
-		}
-		traces := make([]Trace, workers)
-		// Stride positions across workers, one pooled workspace per worker
-		// for the whole scan (the cutoff is fixed, so assignment order is
-		// irrelevant to the answer — and to the counters).
-		parallel.ForEach(workers, workers, func(w int) {
-			lws := p.pool.Get()
-			defer p.pool.Put(lws)
-			for i := w; i < len(e.MedianOrder); i += workers {
-				k := e.MedianOrder[i]
-				if d, ok := scanOne(lws, k, &traces[w]); ok {
-					found[i] = repDist{k: k, d: d}
-					kept[i] = true
-				}
-			}
-		})
-		for _, t := range traces {
-			tr.add(t)
-		}
-		reps = make([]repDist, 0, len(e.MedianOrder))
-		for i, ok := range kept {
-			if ok {
-				reps = append(reps, found[i])
-			}
-		}
-	}
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(e.Length)), pre, *tr).End()
-	}
-	// Stable tie order: by distance, then by median-order position (the
-	// order the sequential scan appended in).
-	sort.SliceStable(reps, func(a, b int) bool { return reps[a].d < reps[b].d })
-
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("refine")
-	}
-	groups := 0
-	var bufs knnBufs // round buffers, allocated on first parallel group
-	for _, rd := range reps {
-		// Re-check against the (possibly tightened) k-th distance.
-		if rd.d > heap.kth()*divisor+radiusRaw {
-			break
-		}
-		groups++
-		p.verifyGroupK(q, e.Groups[rd.k], rd.k, e.Length, divisor, heap, ws, &bufs, tr)
-	}
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(e.Length)).Attr("groups", int64(groups)), pre, *tr).End()
-	}
-}
 
 // scanRepFixed is the fixed-cutoff representative cascade of the k-NN rep
 // scan: LB_Kim → (same-length) LB_Keogh → early-abandoning DTW, pruning
@@ -187,9 +14,8 @@ func (p *Processor) searchLengthK(q []float64, order []int, e *rspace.LengthEntr
 // It returns the representative's raw DTW and whether it survived, ticking
 // tr for the examined rep and for whichever cascade stage resolved it —
 // the fixed cutoff makes these counts identical at every worker count.
-// Shared by the monolithic per-length search and the scatter-gather
-// executor so the k-NN candidate set is structurally identical across
-// layouts.
+// LocalShard.ScanFixed runs it per owned representative, so the k-NN
+// candidate set is structurally identical across layouts.
 func (p *Processor) scanRepFixed(ws *dist.Workspace, q []float64, order []int,
 	rep []float64, env rspace.Envelope, sameLen bool, cutoff float64, tr *Trace) (float64, bool) {
 
@@ -209,88 +35,6 @@ func (p *Processor) scanRepFixed(ws *dist.Workspace, q []float64, order []int,
 	tr.DTWComputed++
 	d := ws.DTWEarlyAbandon(q, rep, dist.Unconstrained, cutoff)
 	return d, !math.IsInf(d, 1)
-}
-
-// knnBufs holds the reusable round buffers of the parallel member
-// verification; the zero value allocates lazily on the first parallel group.
-type knnBufs struct {
-	lbs, ds []float64
-}
-
-// verifyGroupK verifies every member of one group against the running top-k
-// heap: lower-bound prune against the evolving k-th distance, then
-// early-abandoning DTW, pushing exact distances that beat the cutoff. The
-// parallel path evaluates fixed-size rounds concurrently and replays the
-// pushes in member order (see searchLengthK). Shared by the monolithic
-// per-length search and the scatter-gather executor (Scatter) — both
-// must reach bit-identical heap states, so the decision logic lives here
-// once. gid is the group id recorded on pushed matches (the caller's local
-// or global numbering). Work ticks into tr; like mineGroup, the split
-// between Kim prunes and DTWs depends on round timing in the parallel path
-// while MembersTested is worker-invariant.
-func (p *Processor) verifyGroupK(q []float64, g *grouping.Group, gid, length int,
-	divisor float64, heap *topK, ws *dist.Workspace, bufs *knnBufs, tr *Trace) {
-
-	push := func(m grouping.Member, d float64) {
-		heap.push(Match{
-			SeriesID: m.SeriesIdx,
-			Start:    m.Start,
-			Length:   length,
-			Dist:     d / divisor,
-			RawDTW:   d,
-			GroupID:  gid,
-		})
-	}
-	if p.workers <= 1 || g.Count() < 2*mineBatchSize {
-		for _, m := range g.Members {
-			v := p.base.MemberValues(g, m)
-			cutoff := heap.kth() * divisor
-			tr.MembersTested++
-			if !p.opts.DisableLowerBounds && dist.LBKim(q, v) >= cutoff {
-				tr.PrunedByKim++
-				continue
-			}
-			tr.DTWComputed++
-			d := ws.DTWEarlyAbandon(q, v, dist.Unconstrained, cutoff)
-			if math.IsInf(d, 1) {
-				continue
-			}
-			push(m, d)
-		}
-		return
-	}
-	if bufs.ds == nil {
-		bufs.ds = make([]float64, mineBatchSize)
-		bufs.lbs = make([]float64, mineBatchSize)
-	}
-	for off := 0; off < g.Count(); off += mineBatchSize {
-		end := off + mineBatchSize
-		if end > g.Count() {
-			end = g.Count()
-		}
-		batch := g.Members[off:end]
-		roundCutoff := heap.kth() * divisor
-		tr.DTWComputed += p.evalRound(q, len(batch), roundCutoff, func(i int) []float64 {
-			return p.base.MemberValues(g, batch[i])
-		}, bufs.lbs, bufs.ds)
-		// Replay pushes in member order: a distance abandoned at the
-		// round cutoff is ≥ the (only-tightening) running k-th and could
-		// never enter the heap.
-		for i, m := range batch {
-			cutoff := heap.kth() * divisor
-			tr.MembersTested++
-			if !p.opts.DisableLowerBounds && bufs.lbs[i] >= cutoff {
-				tr.PrunedByKim++
-				continue
-			}
-			if d := bufs.ds[i]; !math.IsInf(d, 1) && d < roundCutoff {
-				if d >= cutoff {
-					continue
-				}
-				push(m, d)
-			}
-		}
-	}
 }
 
 // topK keeps the k best matches seen, worst at the root.

@@ -10,7 +10,7 @@ import (
 
 // bruteKNN is the exhaustive reference: all subsequences of the given
 // lengths ranked by normalized DTW.
-func bruteKNN(p *Processor, q []float64, lengths []int, k int) []Match {
+func bruteKNN(p *testEngine, q []float64, lengths []int, k int) []Match {
 	var all []Match
 	var w dist.Workspace
 	d := p.Base().Dataset
@@ -31,7 +31,7 @@ func bruteKNN(p *Processor, q []float64, lengths []int, k int) []Match {
 }
 
 func TestBestKMatchesValidation(t *testing.T) {
-	p := italyProcessor(t, []int{6})
+	p := italyEngine(t, []int{6})
 	if _, err := p.BestKMatches(make([]float64, 6), MatchExact, 0); err == nil {
 		t.Error("k=0: want error")
 	}
@@ -47,7 +47,7 @@ func TestBestKMatchesValidation(t *testing.T) {
 }
 
 func TestBestKMatchesOrderingAndUniqueness(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[1].Values[4:12]...)
 	ms, err := p.BestKMatches(q, MatchExact, 5)
@@ -76,7 +76,7 @@ func TestBestKMatchesOrderingAndUniqueness(t *testing.T) {
 }
 
 func TestBestKMatchesK1AtLeastAsGoodAsBestMatch(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[2].Values[3:11]...)
 	q[0] += 0.05
@@ -96,7 +96,7 @@ func TestBestKMatchesK1AtLeastAsGoodAsBestMatch(t *testing.T) {
 }
 
 func TestBestKMatchesNearBruteForce(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[0].Values[2:10]...)
 	for i := range q {
@@ -121,7 +121,7 @@ func TestBestKMatchesNearBruteForce(t *testing.T) {
 }
 
 func TestBestKMatchesAnyLength(t *testing.T) {
-	p := italyProcessor(t, []int{5, 8, 11})
+	p := italyEngine(t, []int{5, 8, 11})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[3].Values[1:9]...)
 	ms, err := p.BestKMatches(q, MatchAny, 7)
@@ -141,7 +141,7 @@ func TestBestKMatchesAnyLength(t *testing.T) {
 }
 
 func TestBestKMatchesKLargerThanCandidates(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	q := append([]float64(nil), p.Base().Dataset.Series[0].Values[0:8]...)
 	ms, err := p.BestKMatches(q, MatchExact, 1_000_000)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"onex/internal/dist"
@@ -29,10 +30,12 @@ type LocalShard struct {
 	localSeries map[int]int
 	// globalIDs maps, per length, local group index → global group id.
 	globalIDs map[int][]int
-	// units lists, per length, the owned scan units sorted by global
-	// group id (refreshed parts hold local orders that aren't sorted, so
-	// the sort here is what fixes the scan's deterministic tie order).
-	units map[int][]localUnit
+	// units lists, per length, the owned scan units sorted by global group
+	// id (refreshed parts hold local orders that aren't sorted); medianUnits
+	// holds the same units in the shard's Sec. 5.3 median-sum order (the
+	// entry's MedianOrder restricted to owned groups), ScanBest's visit
+	// order.
+	units, medianUnits map[int][]localUnit
 }
 
 // localUnit is one owned representative to scan.
@@ -61,6 +64,7 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 		localSeries: make(map[int]int, len(series)),
 		globalIDs:   globalIDs,
 		units:       make(map[int][]localUnit, len(proc.base.Lengths)),
+		medianUnits: make(map[int][]localUnit, len(proc.base.Lengths)),
 	}
 	for li, gid := range series {
 		ls.localSeries[gid] = li
@@ -72,14 +76,16 @@ func NewLocalShard(proc *Processor, shard int, series []int,
 			return nil, fmt.Errorf("query: shard tables for length %d cover %d/%d of %d groups",
 				l, len(own), len(gids), len(e.Groups))
 		}
-		units := make([]localUnit, 0, len(e.Groups))
-		for local, o := range own {
-			if o {
-				units = append(units, localUnit{local: local, global: gids[local]})
+		median := make([]localUnit, 0, len(e.Groups))
+		for _, local := range e.MedianOrder {
+			if own[local] {
+				median = append(median, localUnit{local: local, global: gids[local]})
 			}
 		}
+		units := append([]localUnit(nil), median...)
 		sort.Slice(units, func(a, b int) bool { return units[a].global < units[b].global })
 		ls.units[l] = units
+		ls.medianUnits[l] = median
 	}
 	return ls, nil
 }
@@ -156,10 +162,6 @@ func BuildLocalShard(spec ShardSpec) (*LocalShard, error) {
 	return NewLocalShard(proc, spec.Shard, series, globalIDs, owned)
 }
 
-// Processor exposes the underlying shard processor (the sharded engine's
-// maintenance path refreshes indexes through it).
-func (ls *LocalShard) Processor() *Processor { return ls.proc }
-
 // Info implements ShardTransport.
 func (ls *LocalShard) Info() ShardInfo {
 	info := ShardInfo{
@@ -199,11 +201,13 @@ func reqWorkers(w int) int {
 }
 
 // ScanBest implements ShardTransport: the tightening-bound argmin scan
-// over the shard's owned units of one length, in ascending global-group
-// order. Pruning is strict (> cutoff) and the reduce breaks distance ties
-// toward the smaller global id, so the response is deterministic at every
-// worker count — the same guarantees Processor.scanReps' parallel branch
-// makes (see the comment there for the argument).
+// over the shard's owned units of one length, walked in the Sec. 5.3
+// median-sum order so a good bound is found early. Pruning is strict
+// (> cutoff) and early-abandoning DTW abandons only strictly above its
+// cutoff, so every representative achieving the minimum is computed
+// exactly and ties resolve to the smaller global group id — a rule that
+// depends on neither the walk order, the worker count nor the shard
+// layout.
 func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBestResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanBestResponse{}, err
@@ -215,7 +219,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	if e == nil {
 		return ScanBestResponse{}, fmt.Errorf("query: length %d not indexed", req.Length)
 	}
-	units := ls.units[req.Length]
+	units := ls.medianUnits[req.Length]
 	var tr Trace
 	n := len(units)
 	if n == 0 {
@@ -223,12 +227,18 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	}
 	q := req.Query
 	hint := math.Float64frombits(req.HintBits)
-	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
+	var order []int // LB_Keogh's query order, needed for same-length scans only
+	if sameLen && !ls.proc.opts.DisableLowerBounds {
+		order = dist.QueryOrder(q)
+	}
 
 	type hit struct {
-		raw float64
-		pos int
+		raw    float64
+		global int // -1 = none
+	}
+	better := func(a, b hit) bool {
+		return a.global >= 0 && (b.global < 0 || a.raw < b.raw || (a.raw == b.raw && a.global < b.global))
 	}
 	scan := func(lws *dist.Workspace, start, stride int, shared *parallel.MinBound, local *hit, ltr *Trace) {
 		for pos := start; pos < n; pos += stride {
@@ -259,8 +269,8 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 			}
 			ltr.DTWComputed++
 			d := lws.DTWEarlyAbandon(q, rep, dist.Unconstrained, cutoff)
-			if d < local.raw {
-				local.raw, local.pos = d, pos
+			if h := (hit{raw: d, global: u.global}); !math.IsInf(d, 1) && better(h, *local) {
+				*local = h
 				if shared != nil {
 					shared.Relax(d)
 				}
@@ -272,7 +282,7 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 	if workers > n {
 		workers = n
 	}
-	win := hit{raw: math.Inf(1), pos: -1}
+	win := hit{raw: math.Inf(1), global: -1}
 	if workers <= 1 || n < scanParallelMin {
 		lws := ls.proc.pool.Get()
 		scan(lws, 0, 1, nil, &win, &tr)
@@ -284,27 +294,22 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 		parallel.ForEach(workers, workers, func(w int) {
 			lws := ls.proc.pool.Get()
 			defer ls.proc.pool.Put(lws)
-			locals[w] = hit{raw: math.Inf(1), pos: -1}
+			locals[w] = hit{raw: math.Inf(1), global: -1}
 			scan(lws, w, workers, shared, &locals[w], &traces[w])
 		})
-		for _, t := range traces {
-			tr.add(t)
-		}
-		for _, l := range locals {
-			if l.pos < 0 {
-				continue
-			}
-			if l.raw < win.raw || (l.raw == win.raw && l.pos < win.pos) {
-				win = l
+		for w := range locals {
+			tr.add(traces[w])
+			if better(locals[w], win) {
+				win = locals[w]
 			}
 		}
 	}
-	if win.pos < 0 {
+	if win.global < 0 {
 		return ScanBestResponse{BestBits: math.Float64bits(math.Inf(1)), Trace: tr}, nil
 	}
 	return ScanBestResponse{
 		Found:    true,
-		GroupID:  units[win.pos].global,
+		GroupID:  win.global,
 		BestBits: math.Float64bits(win.raw),
 		Trace:    tr,
 	}, nil
@@ -313,7 +318,8 @@ func (ls *LocalShard) ScanBest(ctx context.Context, req ScanBestRequest) (ScanBe
 // ScanFixed implements ShardTransport: the fixed-cutoff k-NN cascade over
 // the owned units, survivors returned in ascending global-group order.
 // The cutoff cannot tighten during the scan, so the per-unit decisions —
-// and the work counters — are identical at every worker count.
+// and the work counters — are identical at every worker count and visit
+// order.
 func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return ScanFixedResponse{}, err
@@ -333,8 +339,11 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 	}
 	q := req.Query
 	cutoff := math.Float64frombits(req.CutoffBits)
-	order := dist.QueryOrder(q)
 	sameLen := req.Length == len(q)
+	var order []int // LB_Keogh's query order, needed for same-length scans only
+	if sameLen && !ls.proc.opts.DisableLowerBounds {
+		order = dist.QueryOrder(q)
+	}
 	scanOne := func(lws *dist.Workspace, u localUnit, ltr *Trace) (float64, bool) {
 		return ls.proc.scanRepFixed(lws, q, order,
 			e.Groups[u.local].Rep, e.Envelopes[u.local], sameLen, cutoff, ltr)
@@ -386,70 +395,48 @@ func (ls *LocalShard) ScanFixed(ctx context.Context, req ScanFixedRequest) (Scan
 // the coordinator's round-replay mining. LB_Kim and the early-abandoning
 // DTW depend only on (query, member values, bound), all bit-identical
 // across transports, so the response bits are too.
-func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error) {
+func (ls *LocalShard) EvalMembers(ctx context.Context, req EvalMembersRequest, resp *EvalMembersResponse) error {
+	*resp = EvalMembersResponse{LbBits: resp.LbBits[:0], DsBits: resp.DsBits[:0]}
 	if err := ctx.Err(); err != nil {
-		return EvalMembersResponse{}, err
+		return err
 	}
 	if err := validateQuery(req.Query); err != nil {
-		return EvalMembersResponse{}, err
+		return err
 	}
-	n := len(req.Items)
-	if n == 0 {
-		return EvalMembersResponse{}, nil
-	}
-	windows := make([][]float64, n)
-	for i, it := range req.Items {
+	series := ls.proc.base.Dataset.Series
+	items, length := req.Items, req.Length
+	for _, it := range items {
 		li, ok := ls.localSeries[it.Series]
 		if !ok {
-			return EvalMembersResponse{}, fmt.Errorf("query: member series %d not on shard %d", it.Series, ls.shard)
+			return fmt.Errorf("query: member series %d not on shard %d", it.Series, ls.shard)
 		}
-		values := ls.proc.base.Dataset.Series[li].Values
-		if it.Start < 0 || it.Start+req.Length > len(values) {
-			return EvalMembersResponse{}, fmt.Errorf("query: member window [%d,%d) outside series %d", it.Start, it.Start+req.Length, it.Series)
+		if it.Start < 0 || it.Start+length > series[li].Len() {
+			return fmt.Errorf("query: member window [%d,%d) outside series %d", it.Start, it.Start+length, it.Series)
 		}
-		windows[i] = values[it.Start : it.Start+req.Length]
 	}
-	bound := math.Float64frombits(req.BoundBits)
-	lbs := make([]float64, n)
-	ds := make([]float64, n)
-	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	dtws := exec.evalRound(req.Query, n, bound, func(i int) []float64 { return windows[i] }, lbs, ds)
-	resp := EvalMembersResponse{
-		LbBits:      make([]uint64, n),
-		DsBits:      make([]uint64, n),
-		DTWComputed: dtws,
-	}
-	for i := range lbs {
-		resp.LbBits[i] = math.Float64bits(lbs[i])
-		resp.DsBits[i] = math.Float64bits(ds[i])
-	}
-	return resp, nil
+	n := len(items)
+	resp.LbBits = slices.Grow(resp.LbBits, n)[:n]
+	resp.DsBits = slices.Grow(resp.DsBits, n)[:n]
+	resp.DTWComputed = ls.proc.evalRound(reqWorkers(req.Workers), req.Query, n, math.Float64frombits(req.BoundBits),
+		func(i int) []float64 {
+			it := items[i]
+			return series[ls.localSeries[it.Series]].Values[it.Start : it.Start+length]
+		}, resp.LbBits, resp.DsBits)
+	return nil
 }
 
-// Range implements ShardTransport: the monolithic range search over the
-// shard's restriction, results remapped to global series/group ids in the
-// shard's group order.
+// Range implements ShardTransport: the range search over the shard's
+// restriction, results with global series/group ids in the shard's group
+// order.
 func (ls *LocalShard) Range(ctx context.Context, req RangeRequest) (RangeResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return RangeResponse{}, err
 	}
 	var tr Trace
-	exec := ls.proc.innerExec(reqWorkers(req.Workers))
-	rs, err := exec.rangeSearch(req.Query, req.Length, req.Radius, req.Exact, &tr, nil)
+	hits, err := ls.proc.rangeSearch(reqWorkers(req.Workers), req.Query, req.Length, req.Radius, req.Exact,
+		ls.series, ls.globalIDs[req.Length], &tr)
 	if err != nil {
 		return RangeResponse{}, err
-	}
-	gids := ls.globalIDs[req.Length]
-	hits := make([]RangeHit, len(rs))
-	for i, r := range rs {
-		hits[i] = RangeHit{
-			Series:     ls.series[r.SeriesID],
-			Start:      r.Start,
-			Dist:       r.Dist,
-			RawDTW:     r.RawDTW,
-			GroupID:    gids[r.GroupID],
-			Guaranteed: r.Guaranteed,
-		}
 	}
 	return RangeResponse{Results: hits, Trace: tr}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
@@ -32,24 +31,20 @@ func equivDataset(seed int64, n, length int) *ts.Dataset {
 	return d
 }
 
-// equivProcessors builds two processors over the same base differing only
+// equivEngines builds two one-shard engines over the same grouping differing only
 // in Parallelism.
-func equivProcessors(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) (seq, par *Processor) {
+func equivEngines(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) (seq, par *testEngine) {
 	t.Helper()
 	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sOpts, pOpts := opts, opts
 	sOpts.Parallelism, pOpts.Parallelism = 1, 8
-	if seq, err = New(b, sOpts); err != nil {
+	if seq, err = newTestEngine(d, gr, sOpts); err != nil {
 		t.Fatal(err)
 	}
-	if par, err = New(b, pOpts); err != nil {
+	if par, err = newTestEngine(d, gr, pOpts); err != nil {
 		t.Fatal(err)
 	}
 	return seq, par
@@ -99,7 +94,7 @@ func TestParallelEquivalenceBestMatch(t *testing.T) {
 	for ds := 0; ds < 10; ds++ {
 		d := equivDataset(int64(100+ds), 14, 48)
 		st := sts[ds%len(sts)]
-		seq, par := equivProcessors(t, d, st, []int{8, 12, 20}, Options{})
+		seq, par := equivEngines(t, d, st, []int{8, 12, 20}, Options{})
 		r := rand.New(rand.NewSource(int64(900 + ds)))
 		for qi := 0; qi < 10; qi++ {
 			qlen := []int{8, 12, 20, 15}[qi%4] // 15 is unindexed → MatchAny length walk
@@ -138,7 +133,7 @@ func TestParallelEquivalenceBestKMatches(t *testing.T) {
 	for ds := 0; ds < 6; ds++ {
 		d := equivDataset(int64(300+ds), 12, 40)
 		st := []float64{0.08, 0.25, 0.9}[ds%3]
-		seq, par := equivProcessors(t, d, st, []int{7, 11}, Options{})
+		seq, par := equivEngines(t, d, st, []int{7, 11}, Options{})
 		r := rand.New(rand.NewSource(int64(700 + ds)))
 		for qi := 0; qi < 8; qi++ {
 			q := randomQuery(r, d, []int{7, 11}[qi%2])
@@ -174,7 +169,7 @@ func TestParallelEquivalenceRangeSearch(t *testing.T) {
 	for ds := 0; ds < 6; ds++ {
 		d := equivDataset(int64(500+ds), 12, 40)
 		st := []float64{0.1, 0.3, 0.7}[ds%3]
-		seq, par := equivProcessors(t, d, st, []int{9}, Options{})
+		seq, par := equivEngines(t, d, st, []int{9}, Options{})
 		r := rand.New(rand.NewSource(int64(800 + ds)))
 		for qi := 0; qi < 8; qi++ {
 			q := randomQuery(r, d, 9)
@@ -210,7 +205,7 @@ func TestParallelEquivalenceRangeSearch(t *testing.T) {
 func TestParallelEquivalenceHugeGroup(t *testing.T) {
 	d := equivDataset(4242, 24, 64)
 	for _, patience := range []int{0, 5, -1} {
-		seq, par := equivProcessors(t, d, 2.0, []int{16}, Options{Patience: patience})
+		seq, par := equivEngines(t, d, 2.0, []int{16}, Options{Patience: patience})
 		if g := seq.Base().Entry(16).Groups; len(g) > 4 {
 			t.Fatalf("threshold not loose enough: %d groups", len(g))
 		}
@@ -257,7 +252,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		d.Append("decoy", constant(1.5+0.2*float64(i)))
 	}
-	seq, par := equivProcessors(t, d, 0.05, []int{L}, Options{})
+	seq, par := equivEngines(t, d, 0.05, []int{L}, Options{})
 	if got := len(seq.Base().Entry(L).Groups); got < scanParallelMin {
 		t.Fatalf("only %d groups; parallel scan threshold not reached", got)
 	}
@@ -281,7 +276,7 @@ func TestParallelEquivalenceExactTies(t *testing.T) {
 // with individual BestMatch calls, including per-query validation errors.
 func TestBestMatchBatchMatchesSingles(t *testing.T) {
 	d := equivDataset(77, 12, 40)
-	_, par := equivProcessors(t, d, 0.2, []int{8, 12}, Options{})
+	_, par := equivEngines(t, d, 0.2, []int{8, 12}, Options{})
 	r := rand.New(rand.NewSource(5))
 	qs := make([][]float64, 0, 40)
 	for i := 0; i < 34; i++ {

@@ -14,8 +14,8 @@ func TestPatienceBoundsGroupMining(t *testing.T) {
 	}
 	// Loose threshold → few, huge groups: the case the patience cut exists
 	// for.
-	pBounded := buildProcessor(t, d, 0.6, []int{32}, Options{Patience: 8})
-	pExhaust := buildProcessor(t, d, 0.6, []int{32}, Options{Patience: -1})
+	pBounded := buildEngine(t, d, 0.6, []int{32}, Options{Patience: 8})
+	pExhaust := buildEngine(t, d, 0.6, []int{32}, Options{Patience: -1})
 
 	q := append([]float64(nil), d.Series[1].Values[10:42]...)
 	for i := range q {
@@ -49,7 +49,7 @@ func TestPatienceDefaultApplied(t *testing.T) {
 	}
 	// Patience 0 must behave as DefaultPatience, not unlimited: construct a
 	// large single group (huge ST) and verify the member walk stops.
-	p := buildProcessor(t, d, 5, []int{8}, Options{})
+	p := buildEngine(t, d, 5, []int{8}, Options{})
 	total := 0
 	for _, g := range p.Base().Entry(8).Groups {
 		total += g.Count()
@@ -75,7 +75,7 @@ func TestNegativePatienceIsExhaustive(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	p := buildProcessor(t, d, 5, []int{8}, Options{Patience: -1})
+	p := buildEngine(t, d, 5, []int{8}, Options{Patience: -1})
 	total := 0
 	for _, g := range p.Base().Entry(8).Groups {
 		total += g.Count()

@@ -8,12 +8,12 @@ import (
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/rspace"
 	"onex/internal/ts"
 )
 
-// quickProcessor builds a processor over random data for property tests.
-func quickProcessor(seed int64, st float64, lengths []int) (*Processor, *ts.Dataset, error) {
+// quickEngine builds a one-shard engine over random data for property
+// tests.
+func quickEngine(seed int64, st float64, lengths []int) (*testEngine, *ts.Dataset, error) {
 	r := rand.New(rand.NewSource(seed))
 	d := &ts.Dataset{Name: "prop"}
 	for i := 0; i < 5; i++ {
@@ -27,11 +27,7 @@ func quickProcessor(seed int64, st float64, lengths []int) (*Processor, *ts.Data
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := New(b, Options{})
+	p, err := newTestEngine(d, gr, Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -43,7 +39,7 @@ func quickProcessor(seed int64, st float64, lengths []int) (*Processor, *ts.Data
 // and is never below the exhaustive minimum.
 func TestPropertyBestMatchDistanceReproducible(t *testing.T) {
 	f := func(seed int64, qSeed int64) bool {
-		p, d, err := quickProcessor(seed, 0.3, []int{6})
+		p, d, err := quickEngine(seed, 0.3, []int{6})
 		if err != nil {
 			return false
 		}
@@ -84,7 +80,7 @@ func TestPropertyBestMatchDistanceReproducible(t *testing.T) {
 // plain BestMatch answer.
 func TestPropertyKNNConsistency(t *testing.T) {
 	f := func(seed, qSeed int64) bool {
-		p, _, err := quickProcessor(seed, 0.3, []int{6})
+		p, _, err := quickEngine(seed, 0.3, []int{6})
 		if err != nil {
 			return false
 		}
@@ -117,7 +113,7 @@ func TestPropertyKNNConsistency(t *testing.T) {
 // conserve the multiset of indexed subsequences.
 func TestPropertyAdaptMemberConservation(t *testing.T) {
 	f := func(seed int64, stRaw uint8) bool {
-		p, _, err := quickProcessor(seed, 0.3, []int{5})
+		p, _, err := quickEngine(seed, 0.3, []int{5})
 		if err != nil {
 			return false
 		}
@@ -126,7 +122,7 @@ func TestPropertyAdaptMemberConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		count := func(pp *Processor) int {
+		count := func(pp *testEngine) int {
 			total := 0
 			for _, g := range pp.Base().Entry(5).Groups {
 				total += g.Count()
@@ -144,7 +140,7 @@ func TestPropertyAdaptMemberConservation(t *testing.T) {
 // exhaustive scan on random queries and radii.
 func TestPropertyRangeSearchNeverMisses(t *testing.T) {
 	f := func(seed, qSeed int64, radRaw uint8) bool {
-		p, d, err := quickProcessor(seed, 0.3, []int{6})
+		p, d, err := quickEngine(seed, 0.3, []int{6})
 		if err != nil {
 			return false
 		}

@@ -3,6 +3,13 @@
 // matching, seasonal-similarity queries, similarity-threshold
 // recommendations, and the varying-threshold group adaptation of Sec. 5.2.
 //
+// There is one query engine, Scatter: it runs Algorithm 2 over one or more
+// shard transports, and a single in-process LocalShard holding every series
+// is the unsharded engine. Processor is the per-shard primitive holder
+// behind a LocalShard (representative cascades, member evaluation rounds,
+// range search) and the coordinator's view of the global grouping
+// (seasonal queries, counters).
+//
 // All Sec. 5.3 optimizations are implemented:
 //
 //   - length ordering for Match=Any: the query's own length first, then
@@ -41,7 +48,6 @@ import (
 
 	"onex/internal/dist"
 	"onex/internal/grouping"
-	"onex/internal/obs"
 	"onex/internal/parallel"
 	"onex/internal/rspace"
 )
@@ -90,10 +96,12 @@ type Options struct {
 // walk when Options.Patience is 0.
 const DefaultPatience = 32
 
-// Processor executes online queries against an immutable base.
+// Processor holds the query primitives over one immutable base: a shard's
+// restricted index behind a LocalShard, or the global grouping a Scatter
+// coordinator reads.
 //
 // Concurrency and workspace ownership: a Processor is safe for any number
-// of concurrent query calls. Race freedom is by construction — the base is
+// of concurrent calls. Race freedom is by construction — the base is
 // immutable, and every dist.Workspace used by a call is drawn from an
 // internal sync.Pool with single-goroutine ownership (each query goroutine,
 // and each worker a parallel query fans out to, gets its own workspace and
@@ -108,8 +116,8 @@ type Processor struct {
 	// one query. See the ownership rule above and on dist.Workspace.
 	pool *parallel.WorkspacePool
 	// counters is the lifetime work tally, shared (by pointer) with every
-	// view derived from this processor — sequential(), batch executors and
-	// threshold adaptations keep accounting against the same instance.
+	// view derived from this processor (batch executors keep accounting
+	// against the same instance).
 	counters *Counters
 }
 
@@ -129,21 +137,6 @@ func New(b *rspace.Base, opts Options) (*Processor, error) {
 		counters: &Counters{},
 	}, nil
 }
-
-// sequential returns a view of p that answers each query on the calling
-// goroutine alone. BestMatchBatch uses it to parallelize across queries
-// instead of within them (identical answers either way).
-func (p *Processor) sequential() *Processor {
-	if p.workers == 1 {
-		return p
-	}
-	cp := *p
-	cp.workers = 1
-	return &cp
-}
-
-// Base returns the underlying base (read-only).
-func (p *Processor) Base() *rspace.Base { return p.base }
 
 // Match is a similarity-query answer: the best-matching subsequence found.
 type Match struct {
@@ -186,72 +179,6 @@ func validateQuery(q []float64) error {
 	return nil
 }
 
-// BestMatch answers query class I (Q1): the subsequence most similar to q
-// under DTW. With MatchExact only subsequences of len(q) are considered and
-// an error is returned if that length is not indexed; with MatchAny every
-// indexed length is searched in the Sec. 5.3 order.
-func (p *Processor) BestMatch(q []float64, mode MatchMode) (Match, error) {
-	m, _, err := p.BestMatchTraced(q, mode)
-	return m, err
-}
-
-// BestMatchTraced is BestMatch plus the work counters.
-func (p *Processor) BestMatchTraced(q []float64, mode MatchMode) (Match, Trace, error) {
-	return p.BestMatchObserved(q, mode, nil)
-}
-
-// BestMatchObserved is BestMatchTraced with optional span recording: a
-// non-nil rec receives per-length scan/refine spans plus the query's work
-// totals. rec == nil is the hot path and adds zero allocations
-// (BenchmarkBestMatchObservedNilAllocs enforces this); tracing only
-// observes, so results are bit-identical either way.
-func (p *Processor) BestMatchObserved(q []float64, mode MatchMode, rec *obs.Trace) (Match, Trace, error) {
-	var tr Trace
-	defer func() { p.counters.tick(); p.counters.fold(tr); observe(rec, tr) }()
-	if err := validateQuery(q); err != nil {
-		return Match{}, tr, err
-	}
-	ws := p.pool.Get()
-	defer p.pool.Put(ws)
-	order := dist.QueryOrder(q)
-
-	switch mode {
-	case MatchExact:
-		e := p.base.Entry(len(q))
-		if e == nil {
-			return Match{}, tr, fmt.Errorf("query: length %d not indexed", len(q))
-		}
-		best := Match{Dist: math.Inf(1)}
-		p.searchLength(q, order, e, ws, &best, &tr, rec)
-		if !best.Found() {
-			return Match{}, tr, errors.New("query: no candidate found (empty length entry)")
-		}
-		return best, tr, nil
-	case MatchAny:
-		lengths := p.lengthOrder(len(q))
-		if len(lengths) == 0 {
-			return Match{}, tr, errors.New("query: base has no indexed lengths")
-		}
-		best := Match{Dist: math.Inf(1)}
-		for _, l := range lengths {
-			tr.LengthsVisited++
-			e := p.base.Entry(l)
-			repNorm := p.searchLength(q, order, e, ws, &best, &tr, rec)
-			// Sec. 5.3 stop rule: a representative within ST/2 guarantees
-			// (Lemma 2) its group's members are within ST of the query.
-			if !p.opts.DisableEarlyStop && repNorm <= p.base.ST/2 {
-				break
-			}
-		}
-		if !best.Found() {
-			return Match{}, tr, errors.New("query: no candidate found")
-		}
-		return best, tr, nil
-	default:
-		return Match{}, tr, fmt.Errorf("query: unknown match mode %d", mode)
-	}
-}
-
 // lengthOrder yields indexed lengths in the paper's search order: the
 // query's own length first (if indexed), then strictly smaller lengths in
 // decreasing order, then larger lengths in increasing order.
@@ -275,8 +202,8 @@ func (p *Processor) lengthOrder(queryLen int) []int {
 }
 
 // Parallel-path thresholds. scanParallelMin is the fewest representatives
-// worth fanning a scan out for; mineBatchSize is the pivot-walk round size
-// of the parallel group miner. mineBatchSize is a fixed constant — never
+// worth fanning a scan out for; mineBatchSize is the round size of the
+// parallel member evaluation (group mining and k-NN verification). mineBatchSize is a fixed constant — never
 // derived from the worker count — because the round boundaries define which
 // best-so-far snapshot each DTW cutoff uses, and those snapshots are part
 // of the (worker-count-invariant) decision replay.
@@ -285,168 +212,17 @@ const (
 	mineBatchSize   = 32
 )
 
-// searchLength finds the best-matching representative of one length (the
-// compareRep step of Algorithm 2.A), then mines its group (getKSim),
-// updating best in place. It returns the normalized DTW of the chosen
-// representative (+Inf if the entry is empty) for the early-stop rule.
-// With a non-nil rec, the two stages are recorded as "scan" and "refine"
-// spans whose attrs are Trace deltas.
-func (p *Processor) searchLength(q []float64, order []int, e *rspace.LengthEntry,
-	ws *dist.Workspace, best *Match, tr *Trace, rec *obs.Trace) float64 {
+// evalRound concurrently evaluates one round of candidates against a bound
+// snapshot: lbBits[i] receives LB_Kim (0 when lower bounds are disabled)
+// and dsBits[i] the early-abandoning DTW (+Inf when the lower bound already
+// proves the candidate cannot beat the bound — the caller's replay never
+// reads the distance in that case), both as math.Float64bits. Items stride
+// across up to workers goroutines, each owning one pooled workspace for the
+// whole round. The return value is how many DTWs actually ran (Trace
+// accounting).
+func (p *Processor) evalRound(workers int, q []float64, n int, bound float64,
+	valueAt func(int) []float64, lbBits, dsBits []uint64) int {
 
-	if e == nil || len(e.Groups) == 0 {
-		return math.Inf(1)
-	}
-	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	var sc obs.SpanScope
-	var pre Trace
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("scan")
-	}
-	bestRep, bestRepRaw := p.scanReps(q, order, e, ws, tr)
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(e.Length)), pre, *tr).End()
-	}
-	if bestRep < 0 {
-		return math.Inf(1)
-	}
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("refine")
-	}
-	p.mineGroup(q, e, bestRep, bestRepRaw/divisor, ws, best, tr)
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(e.Length)).Attr("group", int64(bestRep)), pre, *tr).End()
-	}
-	return bestRepRaw / divisor
-}
-
-// scanReps walks the GTI median order computing the argmin representative
-// under DTW with the LB_Kim → LB_Keogh → early-abandoning-DTW cascade.
-// With workers > 1 the order is strided across the pool and a shared
-// atomic bound keeps early abandoning effective across workers; the scan
-// computes the exact minimum either way, and ties on the exact minimum
-// distance resolve to the earliest median-order position at every worker
-// count. Determinism under ties is why the parallel path prunes strictly
-// (> cutoff, where the sequential scan prunes on ≥): a representative whose
-// lower bound merely equals the shared bound could still tie the minimum
-// from an earlier position, and DTWEarlyAbandon abandons only strictly
-// above its cutoff, so every minimum-achieving representative is computed
-// exactly and the (distance, position) reduce picks the same winner the
-// sequential scan would.
-func (p *Processor) scanReps(q []float64, order []int, e *rspace.LengthEntry,
-	ws *dist.Workspace, tr *Trace) (bestRep int, bestRepRaw float64) {
-
-	sameLen := e.Length == len(q)
-	if p.workers <= 1 || len(e.MedianOrder) < scanParallelMin {
-		bestRep = -1
-		bestRepRaw = math.Inf(1)
-		for _, k := range e.MedianOrder {
-			tr.RepsExamined++
-			rep := e.Groups[k].Rep
-			if !p.opts.DisableLowerBounds {
-				if dist.LBKim(q, rep) >= bestRepRaw {
-					tr.PrunedByKim++
-					continue
-				}
-				if sameLen {
-					env := e.Envelopes[k]
-					if lb := dist.LBKeoghOrdered(q, env.Upper, env.Lower, order, bestRepRaw); lb >= bestRepRaw {
-						tr.PrunedByKeogh++
-						continue
-					}
-				}
-			}
-			tr.DTWComputed++
-			d := ws.DTWEarlyAbandon(q, rep, dist.Unconstrained, bestRepRaw)
-			if d < bestRepRaw {
-				bestRepRaw = d
-				bestRep = k
-			}
-		}
-		return bestRep, bestRepRaw
-	}
-
-	type repBest struct {
-		raw float64
-		pos int // index into MedianOrder; -1 = none
-	}
-	workers := p.workers
-	if workers > len(e.MedianOrder) {
-		workers = len(e.MedianOrder)
-	}
-	shared := parallel.NewMinBound(math.Inf(1))
-	locals := make([]repBest, workers)
-	traces := make([]Trace, workers)
-	parallel.ForEach(workers, workers, func(w int) {
-		lws := p.pool.Get()
-		defer p.pool.Put(lws)
-		local := repBest{raw: math.Inf(1), pos: -1}
-		ltr := &traces[w]
-		// Stride assignment: every worker starts near the median (the most
-		// promising region), so the shared bound tightens early for all.
-		for pos := w; pos < len(e.MedianOrder); pos += workers {
-			k := e.MedianOrder[pos]
-			ltr.RepsExamined++
-			cutoff := local.raw
-			if s := shared.Load(); s < cutoff {
-				cutoff = s
-			}
-			rep := e.Groups[k].Rep
-			if !p.opts.DisableLowerBounds {
-				if dist.LBKim(q, rep) > cutoff {
-					ltr.PrunedByKim++
-					continue
-				}
-				if sameLen {
-					env := e.Envelopes[k]
-					if lb := dist.LBKeoghOrdered(q, env.Upper, env.Lower, order, cutoff); lb > cutoff {
-						ltr.PrunedByKeogh++
-						continue
-					}
-				}
-			}
-			ltr.DTWComputed++
-			d := lws.DTWEarlyAbandon(q, rep, dist.Unconstrained, cutoff)
-			if d < local.raw {
-				local = repBest{raw: d, pos: pos}
-				shared.Relax(d)
-			}
-		}
-		locals[w] = local
-	})
-	win := repBest{raw: math.Inf(1), pos: -1}
-	for _, l := range locals {
-		if l.pos < 0 {
-			continue
-		}
-		if l.raw < win.raw || (l.raw == win.raw && l.pos < win.pos) {
-			win = l
-		}
-	}
-	for _, t := range traces {
-		tr.add(t)
-	}
-	if win.pos < 0 {
-		return -1, math.Inf(1)
-	}
-	return e.MedianOrder[win.pos], win.raw
-}
-
-// evalRound concurrently evaluates one fixed-size round of candidates
-// against a bound snapshot: lbs[i] receives LB_Kim (0 when lower bounds are
-// disabled) and ds[i] the early-abandoning DTW (+Inf when the lower bound
-// already proves the candidate cannot beat the bound — the caller's replay
-// never reads ds[i] in that case). Items stride across up to p.workers
-// goroutines, each owning one pooled workspace for the whole round. The
-// return value is how many DTWs actually ran (Trace accounting). Shared by
-// mineGroup and the k-NN member verification, whose decision replays both
-// consume (lbs, ds) in candidate order.
-func (p *Processor) evalRound(q []float64, n int, bound float64,
-	valueAt func(int) []float64, lbs, ds []float64) int {
-
-	workers := p.workers
 	if workers > n {
 		workers = n
 	}
@@ -457,17 +233,15 @@ func (p *Processor) evalRound(q []float64, n int, bound float64,
 		ran := 0
 		for i := w; i < n; i += workers {
 			v := valueAt(i)
-			lb := 0.0
+			lb, d := 0.0, math.Inf(1)
 			if !p.opts.DisableLowerBounds {
 				lb = dist.LBKim(q, v)
 			}
-			lbs[i] = lb
-			if lb >= bound {
-				ds[i] = math.Inf(1)
-				continue
+			if lb < bound {
+				d = lws.DTWEarlyAbandon(q, v, dist.Unconstrained, bound)
+				ran++
 			}
-			ds[i] = lws.DTWEarlyAbandon(q, v, dist.Unconstrained, bound)
-			ran++
+			lbBits[i], dsBits[i] = math.Float64bits(lb), math.Float64bits(d)
 		}
 		dtws.Add(int64(ran))
 	})
@@ -514,128 +288,4 @@ func (w *pivotWalk) next() int {
 		idx, w.right = w.right, w.right+1
 	}
 	return idx
-}
-
-// mineGroup verifies members of group k against the query in pivot order:
-// the LSI array is sorted by ED-to-rep, and the paper starts from the member
-// whose ED is closest to DTW(query, rep), expanding alternately to smaller
-// and larger EDs. Verified with early-abandoning DTW against the best so
-// far.
-//
-// With workers > 1 the walk runs in fixed-size rounds: a round's members
-// have their DTWs evaluated concurrently against the best-so-far snapshot
-// taken at the round boundary, then the improvement/patience bookkeeping is
-// replayed sequentially in walk order. A member whose DTW was abandoned at
-// the round bound is provably non-improving at its replay position (the
-// running best only tightens within a round), so the replay reaches exactly
-// the same decisions — same match, same patience cut — as the sequential
-// walk; parallelism only changes how many DTWs run to completion.
-func (p *Processor) mineGroup(q []float64, e *rspace.LengthEntry, k int, repNormDTW float64,
-	ws *dist.Workspace, best *Match, tr *Trace) {
-
-	g := e.Groups[k]
-	n := g.Count()
-	if n == 0 {
-		return
-	}
-	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	limit := p.opts.CandidateLimit
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	patience := p.opts.Patience
-	if patience == 0 {
-		patience = DefaultPatience
-	}
-	walk := newPivotWalk(g.Members, repNormDTW)
-	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
-
-	record := func(m grouping.Member, d float64) {
-		bestRaw = d
-		*best = Match{
-			SeriesID: m.SeriesIdx,
-			Start:    m.Start,
-			Length:   e.Length,
-			Dist:     d / divisor,
-			RawDTW:   d,
-			GroupID:  k,
-		}
-	}
-
-	if p.workers <= 1 || n < 2*mineBatchSize {
-		sinceImprove := 0
-		for tested := 0; tested < limit; tested++ {
-			if patience > 0 && sinceImprove >= patience {
-				return
-			}
-			idx := walk.next()
-			if idx < 0 {
-				return
-			}
-			m := g.Members[idx]
-			v := p.base.MemberValues(g, m)
-			tr.MembersTested++
-			// LB_Kim is O(1) and admissible for any warping path; it skips
-			// the bulk of hopeless members once a good best-so-far exists.
-			if !p.opts.DisableLowerBounds && dist.LBKim(q, v) >= bestRaw {
-				sinceImprove++
-				continue
-			}
-			tr.DTWComputed++
-			d := ws.DTWEarlyAbandon(q, v, dist.Unconstrained, bestRaw)
-			if d < bestRaw {
-				sinceImprove = 0
-				record(m, d)
-			} else {
-				sinceImprove++
-			}
-		}
-		return
-	}
-
-	idxs := make([]int, 0, mineBatchSize)
-	lbs := make([]float64, mineBatchSize)
-	ds := make([]float64, mineBatchSize)
-	sinceImprove := 0
-	tested := 0
-	for tested < limit {
-		if patience > 0 && sinceImprove >= patience {
-			return
-		}
-		// Collect the next round of members in walk order.
-		idxs = idxs[:0]
-		for len(idxs) < mineBatchSize && tested+len(idxs) < limit {
-			idx := walk.next()
-			if idx < 0 {
-				break
-			}
-			idxs = append(idxs, idx)
-		}
-		if len(idxs) == 0 {
-			return
-		}
-		roundBound := bestRaw
-		tr.DTWComputed += p.evalRound(q, len(idxs), roundBound, func(i int) []float64 {
-			return p.base.MemberValues(g, g.Members[idxs[i]])
-		}, lbs, ds)
-		// Replay the bookkeeping sequentially in walk order.
-		for i, idx := range idxs {
-			if patience > 0 && sinceImprove >= patience {
-				return
-			}
-			m := g.Members[idx]
-			tr.MembersTested++
-			tested++
-			if !p.opts.DisableLowerBounds && lbs[i] >= bestRaw {
-				sinceImprove++
-				continue
-			}
-			if d := ds[i]; d < bestRaw {
-				sinceImprove = 0
-				record(m, d)
-			} else {
-				sinceImprove++
-			}
-		}
-	}
 }

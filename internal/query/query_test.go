@@ -11,30 +11,13 @@ import (
 	"onex/internal/ts"
 )
 
-func buildProcessor(t *testing.T, d *ts.Dataset, st float64, lengths []int, opts Options) *Processor {
-	t.Helper()
-	gr, err := grouping.Build(d, grouping.Config{ST: st, Lengths: lengths, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rspace.New(d, gr, rspace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func italyProcessor(t *testing.T, lengths []int) *Processor {
+func italyEngine(t *testing.T, lengths []int) *testEngine {
 	t.Helper()
 	d := dataset.ItalyPower.Scaled(0.5).Generate(8)
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	return buildProcessor(t, d, 0.2, lengths, Options{})
+	return buildEngine(t, d, 0.2, lengths, Options{})
 }
 
 // bruteBest scans every subsequence of the given length for the true best
@@ -67,7 +50,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestBestMatchValidatesQuery(t *testing.T) {
-	p := italyProcessor(t, []int{6})
+	p := italyEngine(t, []int{6})
 	if _, err := p.BestMatch(nil, MatchExact); err == nil {
 		t.Error("empty query: want error")
 	}
@@ -80,14 +63,14 @@ func TestBestMatchValidatesQuery(t *testing.T) {
 }
 
 func TestBestMatchExactUnindexedLength(t *testing.T) {
-	p := italyProcessor(t, []int{6})
+	p := italyEngine(t, []int{6})
 	if _, err := p.BestMatch(make([]float64, 7), MatchExact); err == nil {
 		t.Error("unindexed length: want error")
 	}
 }
 
 func TestBestMatchExactFindsInDatasetQuery(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	// Promote an existing subsequence to query (the Sec. 6.2.1 "in the
 	// dataset" methodology): the true best distance is 0.
@@ -120,7 +103,7 @@ func TestBestMatchExactFindsInDatasetQuery(t *testing.T) {
 }
 
 func TestBestMatchExactCloseToBruteForce(t *testing.T) {
-	p := italyProcessor(t, []int{6, 10})
+	p := italyEngine(t, []int{6, 10})
 	d := p.Base().Dataset
 	// Out-of-dataset queries: perturbed subsequences.
 	for qi, src := range [][2]int{{0, 3}, {3, 7}, {7, 0}} {
@@ -143,7 +126,7 @@ func TestBestMatchExactCloseToBruteForce(t *testing.T) {
 }
 
 func TestBestMatchAny(t *testing.T) {
-	p := italyProcessor(t, []int{5, 8, 11})
+	p := italyEngine(t, []int{5, 8, 11})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[1].Values[2:10]...) // length 8
 	m, tr, err := p.BestMatchTraced(q, MatchAny)
@@ -164,7 +147,7 @@ func TestBestMatchAny(t *testing.T) {
 }
 
 func TestBestMatchAnyQueryLengthNotIndexed(t *testing.T) {
-	p := italyProcessor(t, []int{5, 11})
+	p := italyEngine(t, []int{5, 11})
 	q := make([]float64, 8) // length 8 not indexed; search falls to 5 and 11
 	for i := range q {
 		q[i] = 0.5
@@ -184,8 +167,8 @@ func TestDisableEarlyStopVisitsAllLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	lengths := []int{5, 8, 11}
-	pStop := buildProcessor(t, d, 0.2, lengths, Options{})
-	pAll := buildProcessor(t, d, 0.2, lengths, Options{DisableEarlyStop: true})
+	pStop := buildEngine(t, d, 0.2, lengths, Options{})
+	pAll := buildEngine(t, d, 0.2, lengths, Options{DisableEarlyStop: true})
 	q := append([]float64(nil), d.Series[0].Values[0:8]...)
 	_, trStop, err := pStop.BestMatchTraced(q, MatchAny)
 	if err != nil {
@@ -205,7 +188,7 @@ func TestDisableEarlyStopVisitsAllLengths(t *testing.T) {
 }
 
 func TestLengthOrder(t *testing.T) {
-	p := italyProcessor(t, []int{4, 6, 8, 10, 12})
+	p := italyEngine(t, []int{4, 6, 8, 10, 12})
 	got := p.lengthOrder(8)
 	want := []int{8, 6, 4, 10, 12}
 	if len(got) != len(want) {
@@ -231,8 +214,8 @@ func TestCandidateLimit(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	pAll := buildProcessor(t, d, 0.2, []int{8}, Options{})
-	pOne := buildProcessor(t, d, 0.2, []int{8}, Options{CandidateLimit: 1})
+	pAll := buildEngine(t, d, 0.2, []int{8}, Options{})
+	pOne := buildEngine(t, d, 0.2, []int{8}, Options{CandidateLimit: 1})
 	q := append([]float64(nil), d.Series[4].Values[3:11]...)
 	mAll, trAll, err := pAll.BestMatchTraced(q, MatchExact)
 	if err != nil {
@@ -260,8 +243,8 @@ func TestLowerBoundAblation(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	pLB := buildProcessor(t, d, 0.2, []int{24}, Options{})
-	pNo := buildProcessor(t, d, 0.2, []int{24}, Options{DisableLowerBounds: true})
+	pLB := buildEngine(t, d, 0.2, []int{24}, Options{})
+	pNo := buildEngine(t, d, 0.2, []int{24}, Options{DisableLowerBounds: true})
 	q := append([]float64(nil), d.Series[1].Values[10:34]...)
 	mLB, trLB, err := pLB.BestMatchTraced(q, MatchExact)
 	if err != nil {
@@ -283,7 +266,7 @@ func TestLowerBoundAblation(t *testing.T) {
 }
 
 func TestTraceConsistency(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	q := append([]float64(nil), p.Base().Dataset.Series[0].Values[0:8]...)
 	_, tr, err := p.BestMatchTraced(q, MatchExact)
 	if err != nil {

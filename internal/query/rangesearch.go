@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"onex/internal/dist"
-	"onex/internal/obs"
 	"onex/internal/parallel"
 )
 
@@ -21,10 +20,11 @@ type RangeResult struct {
 	Guaranteed bool
 }
 
-// RangeSearch answers range queries (a target class the paper's related
-// work highlights, Sec. 7): every subsequence of the given length whose
-// normalized DTW (Def. 6) to q is within radius. This is where the paper's
-// ED↔DTW triangle inequality pays off directly, in both directions:
+// rangeSearch answers a range query over the processor's base (a range
+// query class the paper's related work highlights, Sec. 7): every
+// subsequence of the given length whose normalized DTW (Def. 6) to q is
+// within radius. This is where the paper's ED↔DTW triangle inequality pays
+// off directly, in both directions:
 //
 //   - Admission (Lemma 2): when radius ≥ ST and DTW̄(q, R) ≤ ST/2, every
 //     member of R's group is within ST ≤ radius — the whole group is
@@ -40,42 +40,16 @@ type RangeResult struct {
 //     is skipped without touching its members.
 //
 // Members of the remaining groups are verified individually with
-// early-abandoning DTW and carry exact distances; wholesale-admitted members
-// carry the ST upper bound in Dist (see RangeResult.Guaranteed). Results are
-// unordered.
-func (p *Processor) RangeSearch(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return p.RangeSearchObserved(q, length, radius, false, nil)
-}
-
-// RangeSearchExact is RangeSearch with exact reported distances: members
-// admitted wholesale through the Lemma 2 guarantee get their true DTW
-// computed (the guarantee still saves the early-abandon cutoff work and the
-// admission decision) and are filtered against the radius like every other
-// member. The result set is therefore exactly the subsequences whose
-// normalized DTW is within radius — independent of how the base happens to
-// be grouped — at the cost of one DTW per guaranteed member.
-func (p *Processor) RangeSearchExact(q []float64, length int, radius float64) ([]RangeResult, error) {
-	return p.RangeSearchObserved(q, length, radius, true, nil)
-}
-
-// RangeSearchObserved is the range search with work accounting: the
-// cascade's trace folds into the lifetime Counters and, with a non-nil
-// rec, a "range-scan" span and the query's work totals are recorded.
-// Range work is per-group against a fixed radius, so the counters are
-// identical at every Parallelism setting.
-func (p *Processor) RangeSearchObserved(q []float64, length int, radius float64,
-	exact bool, rec *obs.Trace) ([]RangeResult, error) {
-
-	var tr Trace
-	defer func() { p.counters.tick(); p.counters.fold(tr); observe(rec, tr) }()
-	return p.rangeSearch(q, length, radius, exact, &tr, rec)
-}
-
-// rangeSearch answers one range query, accumulating work into the
-// caller-owned tr (the scatter executor passes one tr across every shard
-// so the whole query folds into the global tally exactly once).
-func (p *Processor) rangeSearch(q []float64, length int, radius float64,
-	exact bool, tr *Trace, rec *obs.Trace) ([]RangeResult, error) {
+// early-abandoning DTW and carry exact distances; wholesale-admitted
+// members carry the ST upper bound in Dist (see RangeResult.Guaranteed)
+// unless exact is set, which computes their true DTW and filters them
+// against the radius like every other member. Hits carry global ids: series
+// and gids map the base's local series and group indices to them. Work
+// accumulates into the caller-owned tr; groups shard across up to workers
+// goroutines, and the result (group order) and counters are identical at
+// every worker count.
+func (p *Processor) rangeSearch(workers int, q []float64, length int, radius float64,
+	exact bool, series, gids []int, tr *Trace) ([]RangeHit, error) {
 
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -92,24 +66,18 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 	sqrtL := math.Sqrt(float64(length))
 	wholesale := radius >= p.base.ST
 
-	var sc obs.SpanScope
-	var pre Trace
-	if rec != nil {
-		pre = *tr
-		sc = rec.StartSpan("range-scan")
-	}
 	// Each group's admission/verification depends only on the query and the
 	// fixed radius — never on other groups — so the group loop shards across
 	// the worker pool verbatim; per-group result slices are concatenated in
 	// group order so the output is identical to the sequential scan (and so
 	// are the per-group work counters).
-	searchGroup := func(ws *dist.Workspace, k int, tr *Trace) []RangeResult {
+	// searchGroup appends group k's hits to out.
+	searchGroup := func(ws *dist.Workspace, k int, tr *Trace, out []RangeHit) []RangeHit {
 		g := e.Groups[k]
 		n := g.Count()
 		if n == 0 {
-			return nil
+			return out
 		}
-		var out []RangeResult
 		// Widest member deviation in raw-ED units (LSI is sorted ascending).
 		maxRawED := g.Members[n-1].EDToRep * sqrtL
 		pruneCutoff := radius*divisor + sqrtM*maxRawED
@@ -117,7 +85,7 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 		tr.DTWComputed++
 		repRaw := ws.DTWEarlyAbandon(q, g.Rep, dist.Unconstrained, pruneCutoff)
 		if math.IsInf(repRaw, 1) {
-			return nil // no member can reach the radius
+			return out // no member can reach the radius
 		}
 
 		verifyFrom := 0
@@ -145,15 +113,12 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 						continue
 					}
 				}
-				out = append(out, RangeResult{
-					Match: Match{
-						SeriesID: m.SeriesIdx,
-						Start:    m.Start,
-						Length:   length,
-						Dist:     nd,
-						RawDTW:   d,
-						GroupID:  k,
-					},
+				out = append(out, RangeHit{
+					Series:     series[m.SeriesIdx],
+					Start:      m.Start,
+					Dist:       nd,
+					RawDTW:     d,
+					GroupID:    gids[k],
 					Guaranteed: true,
 				})
 			}
@@ -169,45 +134,42 @@ func (p *Processor) rangeSearch(q []float64, length int, radius float64,
 			tr.DTWComputed++
 			d := ws.DTWEarlyAbandon(q, v, dist.Unconstrained, radius*divisor)
 			if nd := d / divisor; nd <= radius {
-				out = append(out, RangeResult{
-					Match: Match{
-						SeriesID: m.SeriesIdx,
-						Start:    m.Start,
-						Length:   length,
-						Dist:     nd,
-						RawDTW:   d,
-						GroupID:  k,
-					},
+				out = append(out, RangeHit{
+					Series:  series[m.SeriesIdx],
+					Start:   m.Start,
+					Dist:    nd,
+					RawDTW:  d,
+					GroupID: gids[k],
 				})
 			}
 		}
 		return out
 	}
 
-	var out []RangeResult
-	if p.workers <= 1 || len(e.Groups) < 4 {
+	var out []RangeHit
+	if workers <= 1 || len(e.Groups) < 4 {
 		ws := p.pool.Get()
 		for k := range e.Groups {
-			out = append(out, searchGroup(ws, k, tr)...)
+			out = searchGroup(ws, k, tr, out)
 		}
 		p.pool.Put(ws)
-	} else {
-		perGroup := make([][]RangeResult, len(e.Groups))
-		trs := make([]Trace, len(e.Groups))
-		parallel.ForEach(p.workers, len(e.Groups), func(k int) {
-			ws := p.pool.Get()
-			defer p.pool.Put(ws)
-			perGroup[k] = searchGroup(ws, k, &trs[k])
-		})
-		for k, rs := range perGroup {
-			tr.add(trs[k])
-			out = append(out, rs...)
-		}
+		return out, nil
 	}
-	if rec != nil {
-		spanWork(sc.Attr("length", int64(length)).
-			Attr("groups", int64(len(e.Groups))).
-			Attr("results", int64(len(out))), pre, *tr).End()
+	perGroup := make([][]RangeHit, len(e.Groups))
+	trs := make([]Trace, len(e.Groups))
+	parallel.ForEach(workers, len(e.Groups), func(k int) {
+		ws := p.pool.Get()
+		defer p.pool.Put(ws)
+		perGroup[k] = searchGroup(ws, k, &trs[k], nil)
+	})
+	total := 0
+	for k, hits := range perGroup {
+		tr.add(trs[k])
+		total += len(hits)
+	}
+	out = make([]RangeHit, 0, total)
+	for _, hits := range perGroup {
+		out = append(out, hits...)
 	}
 	return out, nil
 }

@@ -12,7 +12,7 @@ func TestRangeSearchExactMatchesBruteForceOnGuaranteedPath(t *testing.T) {
 	// radius ≥ ST forces wholesale Lemma 2 admissions; exact mode must
 	// still return precisely the brute-force result set with true DTW
 	// distances — the Dist=ST upper-bound shortcut must not leak through.
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	for qi, q := range [][]float64{
 		append([]float64(nil), d.Series[3].Values[2:10]...),
@@ -58,7 +58,7 @@ func TestRangeSearchExactMatchesBruteForceOnGuaranteedPath(t *testing.T) {
 func TestRangeSearchExactEqualsPlainOutsideGuarantee(t *testing.T) {
 	// Below ST no wholesale admission happens, so both modes verify every
 	// candidate and must agree exactly.
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[1].Values[4:12]...)
 	radius := p.Base().ST / 2
@@ -101,7 +101,7 @@ func TestConstantQuerySemantics(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	p := buildProcessor(t, d, 0.2, []int{8}, Options{})
+	p := buildEngine(t, d, 0.2, []int{8}, Options{})
 	flat := make([]float64, 8)
 	for i := range flat {
 		flat[i] = 0.5

@@ -9,7 +9,7 @@ import (
 )
 
 // bruteRange is the exhaustive reference range search.
-func bruteRange(p *Processor, q []float64, length int, radius float64) map[[2]int]float64 {
+func bruteRange(p *testEngine, q []float64, length int, radius float64) map[[2]int]float64 {
 	out := map[[2]int]float64{}
 	var w dist.Workspace
 	div := dist.NormalizedDTWDivisor(len(q), length)
@@ -24,7 +24,7 @@ func bruteRange(p *Processor, q []float64, length int, radius float64) map[[2]in
 }
 
 func TestRangeSearchValidation(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	q := make([]float64, 8)
 	if _, err := p.RangeSearch(nil, 8, 0.1); err == nil {
 		t.Error("empty query: want error")
@@ -43,7 +43,7 @@ func TestRangeSearchValidation(t *testing.T) {
 func TestRangeSearchSoundness(t *testing.T) {
 	// Every verified (non-guaranteed) result must truly lie within the
 	// radius; every guaranteed result must lie within max(radius, ST).
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[2].Values[4:12]...)
 	for _, radius := range []float64{0.005, 0.02, 0.3} {
@@ -69,7 +69,7 @@ func TestRangeSearchSoundness(t *testing.T) {
 func TestRangeSearchCompleteness(t *testing.T) {
 	// No subsequence within the radius may be missed (the pruning bound
 	// must be admissible). Guaranteed results count as found.
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[0].Values[1:9]...)
 	for i := range q {
@@ -97,7 +97,7 @@ func TestRangeSearchCompleteness(t *testing.T) {
 func TestRangeSearchWholesaleAdmission(t *testing.T) {
 	// With radius ≥ ST and an in-dataset query, some group should be
 	// admitted via Lemma 2 without member verification.
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[3].Values[2:10]...)
 	res, err := p.RangeSearch(q, 8, p.Base().ST)
@@ -120,7 +120,7 @@ func TestRangeSearchWholesaleAdmission(t *testing.T) {
 
 func TestRangeSearchZeroRadius(t *testing.T) {
 	// Radius 0 returns exactly the identical subsequences.
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	d := p.Base().Dataset
 	q := append([]float64(nil), d.Series[1].Values[5:13]...)
 	res, err := p.RangeSearch(q, 8, 0)
@@ -142,7 +142,7 @@ func TestRangeSearchZeroRadius(t *testing.T) {
 }
 
 func TestRangeSearchFarQueryEmpty(t *testing.T) {
-	p := italyProcessor(t, []int{8})
+	p := italyEngine(t, []int{8})
 	q := make([]float64, 8)
 	for i := range q {
 		q[i] = 50 // far outside the normalized [0,1] data
@@ -163,7 +163,7 @@ func TestRangeSearchPruningSavesWork(t *testing.T) {
 	if err := d.NormalizeMinMax(); err != nil {
 		t.Fatal(err)
 	}
-	p := buildProcessor(t, d, 0.2, []int{24}, Options{})
+	p := buildEngine(t, d, 0.2, []int{24}, Options{})
 	q := append([]float64(nil), d.Series[0].Values[10:34]...)
 	res, err := p.RangeSearch(q, 24, 0.002)
 	if err != nil {

@@ -13,12 +13,13 @@ import (
 	"onex/internal/rspace"
 )
 
-// Scatter is the scatter-gather query executor of the intra-dataset sharded
-// engine (internal/shard): the dataset's series are hash-partitioned across
-// shards, each shard holds the restriction of ONE deterministic global
-// grouping to its series (same representatives, same member ED order) with
-// its own GTI/LSI index layers, and Scatter re-enacts the monolithic
-// Algorithm 2 decision procedure across them.
+// Scatter is the ONEX query engine: Algorithm 2 run by a coordinator over
+// one or more shard transports. The dataset's series are hash-partitioned
+// across shards, each shard holds the restriction of ONE deterministic
+// global grouping to its series (same representatives, same member ED
+// order) with its own GTI/LSI index layers, and Scatter runs the decision
+// procedure across them. A single in-process LocalShard holding every
+// series is the unsharded engine — there is no second query path.
 //
 // Every shard interaction crosses the ShardTransport seam, so the same
 // coordinator drives in-process shards (LocalShard) and remote worker
@@ -27,38 +28,40 @@ import (
 //   - the representative scan of a length fans one ScanBest/ScanFixed call
 //     per shard (each global group is scanned by exactly one shard — the
 //     one holding its nearest member) and merges the per-shard results with
-//     the monolithic tie rule (smallest distance, then smallest global
-//     group id);
+//     one tie rule (smallest distance, then smallest global group id);
 //   - group mining and k-NN member verification replay the global pivot
-//     walk / heap bookkeeping at the coordinator, shipping each fixed-size
-//     round's DTW work to the members' home shards (EvalMembers) with the
-//     current best-so-far bound threaded in the request — the bound hint
-//     that keeps early abandoning effective across the wire;
+//     walk / heap bookkeeping at the coordinator. Parallel queries over
+//     large groups (≥ 2·mineBatchSize members) ship each fixed-size round's
+//     DTW work to the members' home shards (EvalMembers) with the current
+//     best-so-far bound threaded in the request — the bound hint that keeps
+//     early abandoning effective across the wire. Sequential queries and
+//     small groups are verified member by member at the coordinator, which
+//     holds the global dataset, against the running cutoff: a round there
+//     would cost more coordination than the DTWs it saves, and the running
+//     cutoff abandons earlier than a round snapshot;
 //   - range search runs verbatim on every shard — its admission (Lemma 2
 //     premise per member) and per-member verification decisions depend only
 //     on the shared global representatives, so the union of shard result
-//     sets IS the monolithic result set — and concatenates in shard order;
+//     sets is the answer — and concatenates in shard order;
 //   - seasonal queries read the global grouping directly (the coordinator
 //     holds it in full).
 //
-// Answers are therefore identical to the single-engine path over the same
-// data, with one caveat: when two representatives tie on the exact DTW to
-// the query (bit-equal distances — impossible on continuous data, possible
-// with duplicated windows), the monolith breaks the tie by median-scan
-// position while Scatter breaks it by global group id, and the mined group
-// may differ. Everything downstream of the scan — pivot walks, patience
-// cuts, heap states, range admissions — replays decision-for-decision.
+// Answers are therefore identical at every shard count, worker count and
+// transport, down to tie-breaking: bit-equal representative distances
+// resolve to the smaller global group id everywhere, and everything
+// downstream of the scan — pivot walks, patience cuts, heap states, range
+// admissions — replays decision for decision.
 type Scatter struct {
-	// global answers mining/seasonal bookkeeping against the global
-	// grouping; its base carries the global dataset and per-length global
-	// group vectors but no scan index (no Dc, envelopes or median order —
-	// the per-shard indexes hold those).
+	// global holds the global dataset and per-length global group vectors
+	// but no scan index (no Dc, envelopes or median order — the per-shard
+	// indexes hold those); it answers mining and seasonal bookkeeping and
+	// owns the engine's counters and workspace pool.
 	global     *Processor
 	transports []ShardTransport
 	// infos caches each transport's layout slice (validated at assembly).
 	infos []ShardInfo
 	// route maps global series id → transports index (the member's home).
-	route map[int]int
+	route []int
 }
 
 // NewScatter assembles the executor over the shard transports. global must
@@ -70,24 +73,33 @@ func NewScatter(global *rspace.Base, opts Options, transports []ShardTransport) 
 	if err != nil {
 		return nil, err
 	}
+	n := global.Dataset.N()
 	s := &Scatter{
 		global:     gp,
 		transports: transports,
 		infos:      make([]ShardInfo, len(transports)),
-		route:      make(map[int]int, global.Dataset.N()),
+		route:      make([]int, n),
 	}
+	for i := range s.route {
+		s.route[i] = -1
+	}
+	routed := 0
 	for i, t := range transports {
 		s.infos[i] = t.Info()
 		for _, sid := range s.infos[i].Series {
-			if prev, dup := s.route[sid]; dup {
+			if sid < 0 || sid >= n {
+				return nil, fmt.Errorf("query: shard %d holds series %d outside [0,%d)", s.infos[i].Shard, sid, n)
+			}
+			if prev := s.route[sid]; prev >= 0 {
 				return nil, fmt.Errorf("query: series %d held by shards %d and %d",
 					sid, s.infos[prev].Shard, s.infos[i].Shard)
 			}
 			s.route[sid] = i
+			routed++
 		}
 	}
-	if len(s.route) != global.Dataset.N() {
-		return nil, fmt.Errorf("query: shards hold %d of %d series", len(s.route), global.Dataset.N())
+	if routed != n {
+		return nil, fmt.Errorf("query: shards hold %d of %d series", routed, n)
 	}
 	for _, l := range global.Lengths {
 		e := global.Entry(l)
@@ -172,18 +184,29 @@ func fanShards[R any](ctx context.Context, s *Scatter, rec *obs.Trace, span stri
 	return out, nil
 }
 
-// BestMatch answers Q1 across the shards — the same search the monolithic
-// Processor.BestMatch runs, with the per-length representative scan
-// scattered over the shard transports.
+// BestMatch answers query class I (Q1): the subsequence most similar to q
+// under DTW. With MatchExact only subsequences of len(q) are considered and
+// an error is returned if that length is not indexed; with MatchAny every
+// indexed length is searched in the Sec. 5.3 order. A canceled ctx stops
+// the search between lengths and rounds and returns ctx's error.
 func (s *Scatter) BestMatch(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
-	return s.BestMatchObserved(ctx, q, mode, nil)
+	var tr Trace
+	return s.bestMatch(ctx, q, mode, &tr, nil)
 }
 
-// BestMatchObserved is BestMatch with optional span recording (per-shard
-// scan spans, per-length refine spans, plus the query's work totals on a
-// non-nil rec). Tracing only observes — answers are bit-identical either
-// way. A canceled ctx stops the fan-out between lengths and rounds.
+// BestMatchObserved is BestMatch with optional span recording: a non-nil
+// rec receives per-shard scan spans, per-length refine spans and the
+// query's work totals. rec == nil is the hot path and adds zero
+// allocations (TestBestMatchObservedNilAllocs); tracing only observes, so
+// answers are bit-identical either way.
 func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode MatchMode, rec *obs.Trace) (Match, error) {
+	var tr Trace
+	return s.bestMatch(ctx, q, mode, &tr, rec)
+}
+
+// bestMatch answers one Q1 query, accumulating its work into the
+// caller-owned tr and folding it into the counters exactly once.
+func (s *Scatter) bestMatch(ctx context.Context, q []float64, mode MatchMode, tr *Trace, rec *obs.Trace) (Match, error) {
 	// Remote transports discover the recorder through the context (the rec
 	// parameter stops at the coordinator; rpc spans are recorded below the
 	// fan-out, including EvalMembers rounds that never see rec). Untraced
@@ -191,8 +214,7 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 	if rec != nil {
 		ctx = obs.ContextWithTrace(ctx, rec)
 	}
-	var tr Trace
-	defer func() { s.global.counters.tick(); s.global.counters.fold(tr); observe(rec, tr) }()
+	defer func() { s.global.counters.tick(); s.global.counters.fold(*tr); observe(rec, *tr) }()
 	if err := validateQuery(q); err != nil {
 		return Match{}, err
 	}
@@ -204,7 +226,7 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 			return Match{}, fmt.Errorf("query: length %d not indexed", len(q))
 		}
 		best := Match{Dist: math.Inf(1)}
-		if _, err := s.searchLength(ctx, q, e, &best, &tr, rec); err != nil {
+		if _, err := s.searchLength(ctx, q, e, &best, tr, rec); err != nil {
 			return Match{}, err
 		}
 		if !best.Found() {
@@ -222,11 +244,12 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 				return Match{}, err
 			}
 			tr.LengthsVisited++
-			repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), &best, &tr, rec)
+			repNorm, err := s.searchLength(ctx, q, s.global.base.Entry(l), &best, tr, rec)
 			if err != nil {
 				return Match{}, err
 			}
-			// Sec. 5.3 stop rule, on the globally best representative.
+			// Sec. 5.3 stop rule: a representative within ST/2 guarantees
+			// (Lemma 2) its group's members are within ST of the query.
 			if !s.global.opts.DisableEarlyStop && repNorm <= s.global.base.ST/2 {
 				break
 			}
@@ -240,18 +263,18 @@ func (s *Scatter) BestMatchObserved(ctx context.Context, q []float64, mode Match
 	}
 }
 
-// searchLength scatters one length's representative scan across the shards,
-// then mines the winning global group's full (global) member list through
-// per-round EvalMembers calls — the same compareRep + getKSim sequence as
-// the monolithic searchLength. Work accumulates into the caller-owned tr
-// (folded once per query).
+// searchLength finds the best-matching representative of one length (the
+// compareRep step of Algorithm 2.A) by scattering the scan across the
+// shards, then mines that global group's full member list (getKSim),
+// updating best in place. It returns the normalized DTW of the chosen
+// representative (+Inf if the entry is empty) for the early-stop rule.
 //
 // The scan request pins its bound hint to +Inf: Q1 needs the exact argmin
 // representative (it seeds the pivot walk and the Sec. 5.3 early-stop
 // rule), so an external bound could prune the very representative the
 // search is after. Each shard still early-abandons against its own
-// tightening bound, and the (distance, global id) merge reproduces the
-// monolithic tie rule.
+// tightening bound, and the merge applies the (distance, global id) tie
+// rule every shard applies internally.
 func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.LengthEntry,
 	best *Match, tr *Trace, rec *obs.Trace) (float64, error) {
 
@@ -295,7 +318,7 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 		pre = *tr
 		sc = rec.StartSpan("refine")
 	}
-	err = s.mineGroupScattered(ctx, q, e, bestID, bestRaw/divisor, best, tr)
+	err = s.mineGroup(ctx, q, e, bestID, bestRaw/divisor, best, tr)
 	if rec != nil {
 		spanWork(sc.Attr("length", int64(e.Length)).Attr("group", int64(bestID)), pre, *tr).End()
 	}
@@ -305,89 +328,29 @@ func (s *Scatter) searchLength(ctx context.Context, q []float64, e *rspace.Lengt
 	return bestRaw / divisor, nil
 }
 
-// evalRoundScattered is Processor.evalRound over the transport seam: the
-// round's members partition by home shard, each shard evaluates its slice
-// against the same bound snapshot (LB_Kim plus early-abandoning DTW depend
-// only on (query, member, bound), so the partition cannot change a single
-// bit), and the results scatter back positionally. Returns how many DTWs
-// actually ran shard-side (Trace accounting).
-func (s *Scatter) evalRoundScattered(ctx context.Context, q []float64, length int,
-	batch []grouping.Member, bound float64, lbs, ds []float64) (int, error) {
-
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	type part struct {
-		transport int
-		items     []MemberRef
-		pos       []int
-		resp      EvalMembersResponse
-		err       error
-	}
-	parts := make([]*part, 0, 2)
-	byTransport := make(map[int]*part, 2)
-	for i, m := range batch {
-		ti, ok := s.route[m.SeriesIdx]
-		if !ok {
-			return 0, fmt.Errorf("query: member series %d not routed to any shard", m.SeriesIdx)
-		}
-		p := byTransport[ti]
-		if p == nil {
-			p = &part{transport: ti}
-			byTransport[ti] = p
-			parts = append(parts, p)
-		}
-		p.items = append(p.items, MemberRef{Series: m.SeriesIdx, Start: m.Start})
-		p.pos = append(p.pos, i)
-	}
-	call := func(p *part) {
-		p.resp, p.err = s.transports[p.transport].EvalMembers(ctx, EvalMembersRequest{
-			Length:    length,
-			Query:     q,
-			BoundBits: math.Float64bits(bound),
-			Workers:   s.global.workers,
-			Items:     p.items,
-		})
-	}
-	if len(parts) == 1 {
-		call(parts[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(parts))
-		for _, p := range parts {
-			go func(p *part) { defer wg.Done(); call(p) }(p)
-		}
-		wg.Wait()
-	}
-	dtws := 0
-	for _, p := range parts {
-		if p.err != nil {
-			return 0, p.err
-		}
-		if len(p.resp.LbBits) != len(p.items) || len(p.resp.DsBits) != len(p.items) {
-			return 0, fmt.Errorf("query: shard %d answered %d/%d of %d member evals",
-				s.infos[p.transport].Shard, len(p.resp.LbBits), len(p.resp.DsBits), len(p.items))
-		}
-		for j, pos := range p.pos {
-			lbs[pos] = math.Float64frombits(p.resp.LbBits[j])
-			ds[pos] = math.Float64frombits(p.resp.DsBits[j])
-		}
-		dtws += p.resp.DTWComputed
-	}
-	return dtws, nil
+// shipRounds reports whether a group of n members is verified in rounds
+// shipped to the members' home shards. Sequential queries and small groups
+// run at the coordinator instead (see Scatter).
+func (s *Scatter) shipRounds(n int) bool {
+	return s.global.workers > 1 && n >= 2*mineBatchSize
 }
 
-// mineGroupScattered is Processor.mineGroup with every DTW shipped to the
-// members' home shards: the pivot walk, patience bookkeeping and best
-// updates replay at the coordinator in fixed-size rounds, each round's
-// members evaluated shard-side against the best-so-far snapshot taken at
-// the round boundary. The round replay reaches exactly the sequential
-// walk's decisions for ANY batch partition (a member abandoned at the round
-// bound is provably non-improving at its replay position — the running best
-// only tightens within a round), so the scattered miner always runs the
-// round path; worker count and shard layout change only which DTWs run to
-// completion, never the match.
-func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace.LengthEntry,
+// mineGroup verifies members of global group k against the query in pivot
+// order: the LSI array is sorted by ED-to-rep, and the paper starts from
+// the member whose ED is closest to DTW(query, rep), expanding alternately
+// to smaller and larger EDs, verified with early-abandoning DTW against the
+// best so far and cut after Options.Patience consecutive non-improving
+// members.
+//
+// When the group ships (shipRounds) the walk runs in fixed-size rounds:
+// each round's members are evaluated shard-side against the best-so-far
+// snapshot taken at the round boundary, then the improvement/patience
+// bookkeeping is replayed sequentially in walk order. A member whose DTW was
+// abandoned at the round bound is provably non-improving at its replay
+// position (the running best only tightens within a round), so the replay
+// reaches exactly the same decisions — same match, same patience cut — as
+// the sequential walk; rounds only change how many DTWs run to completion.
+func (s *Scatter) mineGroup(ctx context.Context, q []float64, e *rspace.LengthEntry,
 	k int, repNormDTW float64, best *Match, tr *Trace) error {
 
 	g := e.Groups[k]
@@ -395,19 +358,28 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 	if n == 0 {
 		return nil
 	}
+	opts := s.global.opts
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	limit := s.global.opts.CandidateLimit
+	limit := opts.CandidateLimit
 	if limit <= 0 || limit > n {
 		limit = n
 	}
-	patience := s.global.opts.Patience
+	patience := opts.Patience
 	if patience == 0 {
 		patience = DefaultPatience
 	}
 	walk := newPivotWalk(g.Members, repNormDTW)
 	bestRaw := best.Dist * divisor // +Inf-safe: Inf*x = Inf
-
-	record := func(m grouping.Member, d float64) {
+	sinceImprove := 0
+	// decide replays one member's evaluation: lb is its LB_Kim (0 when lower
+	// bounds are disabled), d its DTW against a bound no looser than bestRaw.
+	decide := func(m grouping.Member, lb, d float64) {
+		tr.MembersTested++
+		if lb >= bestRaw || d >= bestRaw {
+			sinceImprove++
+			return
+		}
+		sinceImprove = 0
 		bestRaw = d
 		*best = Match{
 			SeriesID: m.SeriesIdx,
@@ -419,10 +391,41 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 		}
 	}
 
+	if !s.shipRounds(n) {
+		ws := s.global.pool.Get()
+		defer s.global.pool.Put(ws)
+		for tested := 0; tested < limit; tested++ {
+			if patience > 0 && sinceImprove >= patience {
+				return nil
+			}
+			if tested%mineBatchSize == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			idx := walk.next()
+			if idx < 0 {
+				return nil
+			}
+			m := g.Members[idx]
+			v := s.global.base.MemberValues(g, m)
+			// LB_Kim is O(1) and admissible for any warping path; it skips
+			// the bulk of hopeless members once a good best-so-far exists.
+			lb := 0.0
+			if !opts.DisableLowerBounds {
+				if lb = dist.LBKim(q, v); lb >= bestRaw {
+					decide(m, lb, 0)
+					continue
+				}
+			}
+			tr.DTWComputed++
+			decide(m, lb, ws.DTWEarlyAbandon(q, v, dist.Unconstrained, bestRaw))
+		}
+		return nil
+	}
+
+	r := s.newRounds()
 	batch := make([]grouping.Member, 0, mineBatchSize)
-	lbs := make([]float64, mineBatchSize)
-	ds := make([]float64, mineBatchSize)
-	sinceImprove := 0
 	tested := 0
 	for tested < limit {
 		if patience > 0 && sinceImprove >= patience {
@@ -440,7 +443,7 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 		if len(batch) == 0 {
 			return nil
 		}
-		dtws, err := s.evalRoundScattered(ctx, q, e.Length, batch, bestRaw, lbs, ds)
+		dtws, err := r.eval(ctx, q, e.Length, batch, bestRaw)
 		if err != nil {
 			return err
 		}
@@ -450,28 +453,117 @@ func (s *Scatter) mineGroupScattered(ctx context.Context, q []float64, e *rspace
 			if patience > 0 && sinceImprove >= patience {
 				return nil
 			}
-			tr.MembersTested++
 			tested++
-			if !s.global.opts.DisableLowerBounds && lbs[i] >= bestRaw {
-				sinceImprove++
-				continue
-			}
-			if d := ds[i]; d < bestRaw {
-				sinceImprove = 0
-				record(m, d)
-			} else {
-				sinceImprove++
-			}
+			decide(m, r.lbs[i], r.ds[i])
 		}
 	}
 	return nil
 }
 
-// BestKMatches answers k-NN across the shards: per length, the fixed-cutoff
-// representative scan scatters over the shard transports, then the groups
-// are verified in increasing rep-DTW order against the global member lists —
-// the same procedure as the monolithic searchLengthK, heap bookkeeping
-// included.
+// memberRounds ships member-evaluation rounds to the members' home shards.
+// One instance serves a whole query: the per-shard request lists and the
+// result buffers are reused round after round.
+type memberRounds struct {
+	s *Scatter
+	// items/pos hold, per transport, this round's members and their
+	// positions in the round.
+	items [][]MemberRef
+	pos   [][]int
+	resps []EvalMembersResponse
+	errs  []error
+	// lbs/ds receive the round results positionally.
+	lbs, ds []float64
+}
+
+func (s *Scatter) newRounds() *memberRounds {
+	return &memberRounds{
+		s:     s,
+		items: make([][]MemberRef, len(s.transports)),
+		pos:   make([][]int, len(s.transports)),
+		resps: make([]EvalMembersResponse, len(s.transports)),
+		errs:  make([]error, len(s.transports)),
+		lbs:   make([]float64, mineBatchSize),
+		ds:    make([]float64, mineBatchSize),
+	}
+}
+
+// eval evaluates one round against the bound snapshot: the round's members
+// partition by home shard, each shard evaluates its slice (LB_Kim plus
+// early-abandoning DTW depend only on (query, member, bound), so the
+// partition cannot change a single bit), and the results land positionally
+// in r.lbs/r.ds. Returns how many DTWs actually ran shard-side.
+func (r *memberRounds) eval(ctx context.Context, q []float64, length int,
+	batch []grouping.Member, bound float64) (int, error) {
+
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	s := r.s
+	for ti := range r.items {
+		r.items[ti] = r.items[ti][:0]
+		r.pos[ti] = r.pos[ti][:0]
+	}
+	calls := 0
+	for i, m := range batch {
+		ti := s.route[m.SeriesIdx]
+		if len(r.items[ti]) == 0 {
+			calls++
+		}
+		r.items[ti] = append(r.items[ti], MemberRef{Series: m.SeriesIdx, Start: m.Start})
+		r.pos[ti] = append(r.pos[ti], i)
+	}
+	req := EvalMembersRequest{
+		Length:    length,
+		Query:     q,
+		BoundBits: math.Float64bits(bound),
+		Workers:   s.global.workers,
+	}
+	var wg sync.WaitGroup
+	for ti, items := range r.items {
+		if len(items) == 0 {
+			continue
+		}
+		req.Items = items
+		if calls == 1 {
+			r.errs[ti] = s.transports[ti].EvalMembers(ctx, req, &r.resps[ti])
+			break
+		}
+		wg.Add(1)
+		go func(ti int, req EvalMembersRequest) {
+			defer wg.Done()
+			r.errs[ti] = s.transports[ti].EvalMembers(ctx, req, &r.resps[ti])
+		}(ti, req)
+	}
+	wg.Wait()
+	dtws := 0
+	for ti, items := range r.items {
+		if len(items) == 0 {
+			continue
+		}
+		resp := &r.resps[ti]
+		if r.errs[ti] != nil {
+			return 0, r.errs[ti]
+		}
+		if len(resp.LbBits) != len(items) || len(resp.DsBits) != len(items) {
+			return 0, fmt.Errorf("query: shard %d answered %d/%d of %d member evals",
+				s.infos[ti].Shard, len(resp.LbBits), len(resp.DsBits), len(items))
+		}
+		for j, p := range r.pos[ti] {
+			r.lbs[p] = math.Float64frombits(resp.LbBits[j])
+			r.ds[p] = math.Float64frombits(resp.DsBits[j])
+		}
+		dtws += resp.DTWComputed
+	}
+	return dtws, nil
+}
+
+// BestKMatches answers the k-nearest-neighbour extension of query class I:
+// the k subsequences most similar to q under normalized DTW, ordered best
+// first. The paper's processor returns the single best match (k=1); k-NN is
+// the natural generalization its range/NN-search related work discusses
+// (Sec. 7) and falls out of the same group exploration: representatives are
+// scanned per length and the k-th best distance replaces the best-so-far as
+// the pruning/early-abandon cutoff. Results can span multiple groups.
 func (s *Scatter) BestKMatches(ctx context.Context, q []float64, mode MatchMode, k int) ([]Match, error) {
 	return s.BestKMatchesObserved(ctx, q, mode, k, nil)
 }
@@ -510,6 +602,7 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 		return nil, fmt.Errorf("query: unknown match mode %d", mode)
 	}
 
+	var r *memberRounds // allocated on the first shipped group
 	for _, l := range lengths {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -517,7 +610,7 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 		if mode == MatchAny {
 			tr.LengthsVisited++
 		}
-		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, &tr, rec); err != nil {
+		if err := s.searchLengthK(ctx, q, s.global.base.Entry(l), heap, &r, &tr, rec); err != nil {
 			return nil, err
 		}
 	}
@@ -528,22 +621,24 @@ func (s *Scatter) BestKMatchesObserved(ctx context.Context, q []float64, mode Ma
 	return out, nil
 }
 
-// searchLengthK is the scattered form of Processor.searchLengthK: the rep
-// scan's cutoff is fixed for the whole length (no heap pushes can happen
-// during it), so fanning it across the shards is answer-preserving; member
-// verification then replays at the coordinator with per-round EvalMembers
-// calls.
+// searchLengthK mines every group of one length whose representative's
+// lower bounds beat the current k-th distance. Unlike the 1-NN path it
+// cannot stop at the single best representative: a group whose rep is
+// slightly farther can still hold top-k members, so groups are visited in
+// increasing rep-DTW order until the rep's own DTW exceeds the k-th
+// distance plus the group radius (in raw units) — a heuristic cut mirroring
+// the paper's ST/2-based guarantee. No heap pushes happen during the rep
+// scan, so its cutoff is fixed for the whole length and fanning it across
+// the shards (and their workers) changes neither answers nor counters.
 func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.LengthEntry,
-	heap *topK, tr *Trace, rec *obs.Trace) error {
+	heap *topK, r **memberRounds, tr *Trace, rec *obs.Trace) error {
 
 	if e == nil || len(e.Groups) == 0 {
 		return nil
 	}
 	divisor := dist.NormalizedDTWDivisor(len(q), e.Length)
-	radiusRaw := s.global.base.ST / 2 * math.Sqrt(float64(e.Length))
+	radiusRaw := s.global.base.ST / 2 * math.Sqrt(float64(e.Length)) // group radius in raw-ED units
 
-	// No heap pushes happen during the rep scan, so the cutoff is fixed for
-	// the whole length and the fan-out cannot change answers — or counters.
 	req := ScanFixedRequest{
 		Length:     e.Length,
 		Query:      q,
@@ -571,9 +666,11 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 			reps = append(reps, repDist{global: h.GroupID, d: h.Dist})
 		}
 	}
-	// Monolithic tie order: ascending global id (each shard's hits already
-	// are; the shards partition the ids), then stable by distance.
-	sort.Slice(reps, func(a, b int) bool { return reps[a].global < reps[b].global })
+	// Tie order: ascending global id (each shard's hits already are; the
+	// shards partition the ids), then stable by distance.
+	if len(resps) > 1 {
+		sort.Slice(reps, func(a, b int) bool { return reps[a].global < reps[b].global })
+	}
 	sort.SliceStable(reps, func(a, b int) bool { return reps[a].d < reps[b].d })
 
 	var sc obs.SpanScope
@@ -583,7 +680,6 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 		sc = rec.StartSpan("refine")
 	}
 	groups := 0
-	var bufs knnBufs
 	var verr error
 	for _, rd := range reps {
 		// Re-check against the (possibly tightened) k-th distance.
@@ -591,7 +687,7 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 			break
 		}
 		groups++
-		if verr = s.verifyGroupKScattered(ctx, q, e.Groups[rd.global], rd.global, e.Length, divisor, heap, &bufs, tr); verr != nil {
+		if verr = s.verifyGroupK(ctx, q, e.Groups[rd.global], rd.global, e.Length, divisor, heap, r, tr); verr != nil {
 			break
 		}
 	}
@@ -601,19 +697,57 @@ func (s *Scatter) searchLengthK(ctx context.Context, q []float64, e *rspace.Leng
 	return verr
 }
 
-// verifyGroupKScattered is Processor.verifyGroupK with each round's DTWs
-// shipped to the members' home shards. The heap replay is verbatim (same
-// inequalities, same push order), so the scattered heap passes through
-// exactly the monolithic states; like the scattered miner it always runs
-// the round path, which is answer-equal to the sequential branch for any
-// round size.
-func (s *Scatter) verifyGroupKScattered(ctx context.Context, q []float64, g *grouping.Group,
-	gid, length int, divisor float64, heap *topK, bufs *knnBufs, tr *Trace) error {
+// verifyGroupK verifies every member of one group against the running top-k
+// heap: lower-bound prune against the evolving k-th distance, then
+// early-abandoning DTW, pushing exact distances that beat the cutoff. gid
+// is the global group id recorded on pushed matches. When the group ships
+// (shipRounds), fixed-size rounds are evaluated shard-side against the k-th
+// distance at the round boundary and the pushes replay in member order:
+// a distance abandoned at the round cutoff is ≥ the (only-tightening)
+// running k-th and could never enter the heap, so the heap passes through
+// exactly the sequential states. Like mineGroup, the split between Kim
+// prunes and DTWs depends on the path while MembersTested does not.
+func (s *Scatter) verifyGroupK(ctx context.Context, q []float64, g *grouping.Group,
+	gid, length int, divisor float64, heap *topK, r **memberRounds, tr *Trace) error {
 
-	if bufs.ds == nil {
-		bufs.ds = make([]float64, mineBatchSize)
-		bufs.lbs = make([]float64, mineBatchSize)
+	noLB := s.global.opts.DisableLowerBounds
+	push := func(m grouping.Member, d float64) {
+		heap.push(Match{
+			SeriesID: m.SeriesIdx,
+			Start:    m.Start,
+			Length:   length,
+			Dist:     d / divisor,
+			RawDTW:   d,
+			GroupID:  gid,
+		})
 	}
+	if !s.shipRounds(g.Count()) {
+		ws := s.global.pool.Get()
+		defer s.global.pool.Put(ws)
+		for i, m := range g.Members {
+			if i%mineBatchSize == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			v := s.global.base.MemberValues(g, m)
+			cutoff := heap.kth() * divisor
+			tr.MembersTested++
+			if !noLB && dist.LBKim(q, v) >= cutoff {
+				tr.PrunedByKim++
+				continue
+			}
+			tr.DTWComputed++
+			if d := ws.DTWEarlyAbandon(q, v, dist.Unconstrained, cutoff); !math.IsInf(d, 1) {
+				push(m, d)
+			}
+		}
+		return nil
+	}
+	if *r == nil {
+		*r = s.newRounds()
+	}
+	rr := *r
 	for off := 0; off < g.Count(); off += mineBatchSize {
 		end := off + mineBatchSize
 		if end > g.Count() {
@@ -621,51 +755,44 @@ func (s *Scatter) verifyGroupKScattered(ctx context.Context, q []float64, g *gro
 		}
 		batch := g.Members[off:end]
 		roundCutoff := heap.kth() * divisor
-		dtws, err := s.evalRoundScattered(ctx, q, length, batch, roundCutoff, bufs.lbs, bufs.ds)
+		dtws, err := rr.eval(ctx, q, length, batch, roundCutoff)
 		if err != nil {
 			return err
 		}
 		tr.DTWComputed += dtws
-		// Replay pushes in member order: a distance abandoned at the
-		// round cutoff is ≥ the (only-tightening) running k-th and could
-		// never enter the heap.
 		for i, m := range batch {
 			cutoff := heap.kth() * divisor
 			tr.MembersTested++
-			if !s.global.opts.DisableLowerBounds && bufs.lbs[i] >= cutoff {
+			if !noLB && rr.lbs[i] >= cutoff {
 				tr.PrunedByKim++
 				continue
 			}
-			if d := bufs.ds[i]; !math.IsInf(d, 1) && d < roundCutoff {
-				if d >= cutoff {
-					continue
-				}
-				heap.push(Match{
-					SeriesID: m.SeriesIdx,
-					Start:    m.Start,
-					Length:   length,
-					Dist:     d / divisor,
-					RawDTW:   d,
-					GroupID:  gid,
-				})
+			if d := rr.ds[i]; !math.IsInf(d, 1) && d < roundCutoff && d < cutoff {
+				push(m, d)
 			}
 		}
 	}
 	return nil
 }
 
-// RangeSearch scatters a range query: each shard answers it over its
-// restriction with the monolithic code path and the per-shard result slices
-// concatenate in shard order, remapped to global series/group ids. The
-// result SET equals the monolithic one exactly (admission and verification
-// decide per member against the shared global representative); only the
-// slice order differs, and range results are documented as unordered.
+// RangeSearch answers a range query: every subsequence of the given length
+// whose normalized DTW to q is within radius (see Processor.rangeSearch for
+// the Lemma 2 admission and the pruning argument). Each shard answers it
+// over its restriction and the per-shard result slices concatenate in
+// shard order, remapped to global series/group ids. The result set is
+// identical at every layout (admission and verification decide per member
+// against the shared global representative); only the slice order differs,
+// and results are unordered. Wholesale-admitted members report the ST
+// upper bound in Dist (see RangeResult.Guaranteed).
 func (s *Scatter) RangeSearch(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
 	return s.RangeSearchObserved(ctx, q, length, radius, false, nil)
 }
 
-// RangeSearchExact is RangeSearch with exact distances on the Lemma 2
-// guaranteed path, scattered the same way.
+// RangeSearchExact is RangeSearch with exact reported distances: members
+// admitted through the Lemma 2 guarantee get their true DTW computed and
+// are filtered against the radius like every other member, so the result
+// set is exactly the subsequences within radius, independent of how the
+// base happens to be grouped.
 func (s *Scatter) RangeSearchExact(ctx context.Context, q []float64, length int, radius float64) ([]RangeResult, error) {
 	return s.RangeSearchObserved(ctx, q, length, radius, true, nil)
 }
@@ -674,8 +801,8 @@ func (s *Scatter) RangeSearchExact(ctx context.Context, q []float64, length int,
 // the per-shard traces fold into one query trace and into the GLOBAL
 // counters exactly once (the shard indexes' own counters are not touched —
 // the scatter executor owns the tally). With a non-nil rec each shard call
-// gets a "shard-range" span. Shards run concurrently: unlike the in-process
-// engine, remote shards spend their worker budgets on separate hosts.
+// gets a "shard-range" span. Shards run concurrently; remote shards spend
+// their worker budgets on separate hosts.
 func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length int, radius float64,
 	exact bool, rec *obs.Trace) ([]RangeResult, error) {
 
@@ -710,7 +837,11 @@ func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length i
 	if err != nil {
 		return nil, err
 	}
-	var out []RangeResult
+	total := 0
+	for _, resp := range resps {
+		total += len(resp.Results)
+	}
+	out := make([]RangeResult, 0, total)
 	for _, resp := range resps {
 		tr.add(resp.Trace)
 		for _, h := range resp.Results {
@@ -731,7 +862,7 @@ func (s *Scatter) RangeSearchObserved(ctx context.Context, q []float64, length i
 }
 
 // SeasonalSample answers the user-driven class II query from the global
-// grouping — identical to the monolithic answer, group ids included.
+// grouping (global group ids).
 func (s *Scatter) SeasonalSample(seriesID, length int) ([]SeasonalGroup, error) {
 	return s.global.SeasonalSample(seriesID, length)
 }

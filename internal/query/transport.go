@@ -15,7 +15,7 @@ import (
 //
 // The contract is bit-exactness: for a fixed shard restriction, every
 // implementation must return the same float64 bit patterns the in-process
-// engine computes, because the coordinator replays the monolithic decision
+// engine computes, because the coordinator replays one decision
 // procedure (pivot walks, patience cuts, heap pushes, tie rules) against
 // these values. Distances that can be ±Inf travel as math.Float64bits
 // (JSON cannot carry Inf); finite distances travel as plain float64, which
@@ -39,8 +39,11 @@ type ShardTransport interface {
 	ScanFixed(ctx context.Context, req ScanFixedRequest) (ScanFixedResponse, error)
 	// EvalMembers evaluates one round of group members against a bound
 	// snapshot: per item, LB_Kim and the early-abandoning DTW — the remote
-	// half of the coordinator's round-replay mining (see Processor.evalRound).
-	EvalMembers(ctx context.Context, req EvalMembersRequest) (EvalMembersResponse, error)
+	// half of the coordinator's round-replay mining (see Scatter.mineGroup).
+	// It overwrites every field of the caller-owned resp, reusing the
+	// capacity of its slices, so a query's rounds allocate no result
+	// buffers after the first.
+	EvalMembers(ctx context.Context, req EvalMembersRequest, resp *EvalMembersResponse) error
 	// Range answers a range query over the shard's restriction with
 	// results remapped to global series/group ids.
 	Range(ctx context.Context, req RangeRequest) (RangeResponse, error)
@@ -121,13 +124,13 @@ type ScanBestRequest struct {
 	// but the protocol carries it for bound-aware scans.
 	HintBits uint64 `json:"hintBits"`
 	// Workers bounds the shard-side fan-out of the scan (answer-invariant;
-	// see Processor.scanReps).
+	// see LocalShard.ScanBest).
 	Workers int `json:"workers"`
 }
 
 // ScanBestResponse is the shard-local argmin. BestBits is the raw
 // (unnormalized) DTW as Float64bits; ties on bit-equal distances resolve
-// to the smallest global group id, matching the monolithic scan order.
+// to the smallest global group id — the one tie rule of every layout.
 type ScanBestResponse struct {
 	Found    bool       `json:"found"`
 	GroupID  int        `json:"groupId"`

@@ -23,9 +23,9 @@
 // This is NOT an approximation, because no query-time consumer reads
 // arbitrary Dc cells:
 //
-//   - the representative scan (query.scanReps / scanRepFixed) walks
-//     MedianOrder, which is derived from the row sums alone;
-//   - group mining and k-NN verification (mineGroup / verifyGroupK) walk
+//   - the representative scans (query.LocalShard.ScanBest / ScanFixed)
+//     walk MedianOrder, which is derived from the row sums alone;
+//   - group mining and k-NN verification (query.Scatter) walk
 //     the per-group ED-sorted member lists and envelopes, never Dc;
 //   - the SP-Space guidance surface reads the precomputed STHalf/STFinal.
 //

@@ -14,17 +14,14 @@ import (
 	"onex/internal/ts"
 )
 
-// The acceptance property of the sharded engine: over the same data, a
-// Shards=N engine answers BestMatch, BestKMatches, RangeSearch(Exact) and
-// both seasonal queries identically (within 1e-12 on distances, exactly on
-// identities) to the Shards=1 / plain-core path, at every parallelism, and
-// across Append/Extend maintenance interleavings.
-
-const equivTol = 1e-12
+// The acceptance property of the engine: over the same data, every shard
+// count answers BestMatch, BestKMatches, RangeSearch(Exact) and both
+// seasonal queries identically, at every parallelism and across
+// Append/Extend maintenance interleavings — and the distance-bearing
+// answers are Float64bits-equal to the sequential reference (oracle).
 
 // randomDataset builds a ragged random-walk dataset: continuous values, so
-// no two distinct windows tie on exact DTW (the only case where scan-order
-// tie-breaking could differ between layouts).
+// no two distinct windows tie on exact DTW.
 func randomDataset(r *rand.Rand, n, baseLen int) *ts.Dataset {
 	d := &ts.Dataset{Name: "equiv"}
 	for i := 0; i < n; i++ {
@@ -65,14 +62,16 @@ func randomQueries(r *rand.Rand, d *ts.Dataset, lengths []int, count int) [][]fl
 	return out
 }
 
+// matchesEqual demands identical identities and Float64bits-equal
+// distances.
 func matchesEqual(t *testing.T, ctx string, a, b query.Match) {
 	t.Helper()
-	if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length {
-		t.Fatalf("%s: match identity diverged: (%d,%d,%d) vs (%d,%d,%d)",
-			ctx, a.SeriesID, a.Start, a.Length, b.SeriesID, b.Start, b.Length)
+	if a.SeriesID != b.SeriesID || a.Start != b.Start || a.Length != b.Length || a.GroupID != b.GroupID {
+		t.Fatalf("%s: match identity diverged: (%d,%d,%d g%d) vs (%d,%d,%d g%d)", ctx,
+			a.SeriesID, a.Start, a.Length, a.GroupID, b.SeriesID, b.Start, b.Length, b.GroupID)
 	}
-	if math.Abs(a.Dist-b.Dist) > equivTol {
-		t.Fatalf("%s: distance diverged: %v vs %v", ctx, a.Dist, b.Dist)
+	if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) || math.Float64bits(a.RawDTW) != math.Float64bits(b.RawDTW) {
+		t.Fatalf("%s: distance diverged: %v/%v vs %v/%v", ctx, a.Dist, a.RawDTW, b.Dist, b.RawDTW)
 	}
 }
 
@@ -86,93 +85,105 @@ func sortRange(rs []query.RangeResult) {
 	})
 }
 
-// compareEngines drives the full query mix against both engines and demands
-// identical answers.
-func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][]float64, lengths []int, st float64) {
+// checkOracle drives the distance-bearing query mix (Q1 and k-NN in both
+// modes, range at a wholesale-admitting and a verifying radius, plain and
+// exact, and the batch forms) against one engine and demands answers
+// Float64bits-equal to the oracle over the engine's own global grouping.
+func checkOracle(t *testing.T, ctx string, e *Engine, queries [][]float64, lengths []int, st float64) {
 	t.Helper()
+	ref := newOracle(e)
+	bg := context.Background()
 	for qi, q := range queries {
 		for _, mode := range []query.MatchMode{query.MatchAny, query.MatchExact} {
 			mctx := fmt.Sprintf("%s q%d mode%d", ctx, qi, mode)
-			am, aerr := mono.BestMatch(context.Background(), q, mode)
-			bm, berr := sharded.BestMatch(context.Background(), q, mode)
-			if (aerr == nil) != (berr == nil) {
-				t.Fatalf("%s: BestMatch error diverged: %v vs %v", mctx, aerr, berr)
+			want, werr := ref.bestMatch(q, mode)
+			got, err := e.BestMatch(bg, q, mode)
+			if (werr == nil) != (err == nil) {
+				t.Fatalf("%s: BestMatch error diverged: oracle %v, engine %v", mctx, werr, err)
 			}
-			if aerr == nil {
-				matchesEqual(t, mctx+" best", am, bm)
+			if werr == nil {
+				matchesEqual(t, mctx+" best", got, want)
 			}
 
-			ak, aerr := mono.BestKMatches(context.Background(), q, mode, 4)
-			bk, berr := sharded.BestKMatches(context.Background(), q, mode, 4)
-			if (aerr == nil) != (berr == nil) {
-				t.Fatalf("%s: BestKMatches error diverged: %v vs %v", mctx, aerr, berr)
+			wantK, werr := ref.knn(q, mode, 4)
+			gotK, err := e.BestKMatches(bg, q, mode, 4)
+			if (werr == nil) != (err == nil) {
+				t.Fatalf("%s: BestKMatches error diverged: oracle %v, engine %v", mctx, werr, err)
 			}
-			if aerr == nil {
-				if len(ak) != len(bk) {
-					t.Fatalf("%s: k-NN count diverged: %d vs %d", mctx, len(ak), len(bk))
-				}
-				for i := range ak {
-					matchesEqual(t, fmt.Sprintf("%s knn[%d]", mctx, i), ak[i], bk[i])
-				}
+			if len(gotK) != len(wantK) {
+				t.Fatalf("%s: k-NN count diverged: %d vs %d", mctx, len(gotK), len(wantK))
+			}
+			for i := range wantK {
+				matchesEqual(t, fmt.Sprintf("%s knn[%d]", mctx, i), gotK[i], wantK[i])
 			}
 		}
 
 		// Range searches at a wholesale-admitting radius (> ST) and a
 		// verifying one (< ST), both plain and exact.
 		length := lengths[qi%len(lengths)]
-		rq := q
-		if len(rq) != length {
-			rq = q[:min(len(q), length)]
-			if len(rq) < length {
-				continue
-			}
+		if len(q) < length {
+			continue
 		}
+		rq := q[:length]
 		for _, radius := range []float64{st * 1.5, st * 0.6} {
 			for _, exact := range []bool{false, true} {
 				rctx := fmt.Sprintf("%s q%d range r=%.3f exact=%v", ctx, qi, radius, exact)
-				var ar, br []query.RangeResult
-				var aerr, berr error
-				if exact {
-					ar, aerr = mono.RangeSearchExact(context.Background(), rq, length, radius)
-					br, berr = sharded.RangeSearchExact(context.Background(), rq, length, radius)
-				} else {
-					ar, aerr = mono.RangeSearch(context.Background(), rq, length, radius)
-					br, berr = sharded.RangeSearch(context.Background(), rq, length, radius)
+				want, werr := ref.rangeSearch(rq, length, radius, exact)
+				got, err := e.RangeSearchObserved(bg, rq, length, radius, exact, nil)
+				if (werr == nil) != (err == nil) {
+					t.Fatalf("%s: error diverged: oracle %v, engine %v", rctx, werr, err)
 				}
-				if (aerr == nil) != (berr == nil) {
-					t.Fatalf("%s: error diverged: %v vs %v", rctx, aerr, berr)
-				}
-				if aerr != nil {
-					continue
-				}
-				if len(ar) != len(br) {
-					t.Fatalf("%s: result count diverged: %d vs %d", rctx, len(ar), len(br))
-				}
-				sortRange(ar)
-				sortRange(br)
-				for i := range ar {
-					x, y := ar[i], br[i]
-					if x.SeriesID != y.SeriesID || x.Start != y.Start || x.Guaranteed != y.Guaranteed {
-						t.Fatalf("%s: result %d diverged: %+v vs %+v", rctx, i, x, y)
-					}
-					if math.Abs(x.Dist-y.Dist) > equivTol {
-						t.Fatalf("%s: result %d distance diverged: %v vs %v", rctx, i, x.Dist, y.Dist)
-					}
-				}
+				rangesEqual(t, rctx, got, want)
 			}
 		}
 	}
 
+	// Batch answers must equal the single-query answers, i.e. the oracle's.
+	for i, r := range e.BestMatchBatch(bg, queries, query.MatchAny) {
+		want, werr := ref.bestMatch(queries[i], query.MatchAny)
+		if (werr == nil) != (r.Err == nil) {
+			t.Fatalf("%s: batch[%d] error diverged: oracle %v, engine %v", ctx, i, werr, r.Err)
+		}
+		if werr == nil {
+			matchesEqual(t, fmt.Sprintf("%s batch[%d]", ctx, i), r.Match, want)
+		}
+	}
+}
+
+// rangesEqual compares two range result sets (order-insensitive) with
+// Float64bits-equal distances.
+func rangesEqual(t *testing.T, ctx string, got, want []query.RangeResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: result count diverged: %d vs %d", ctx, len(got), len(want))
+	}
+	sortRange(got)
+	sortRange(want)
+	for i := range want {
+		if got[i].Guaranteed != want[i].Guaranteed {
+			t.Fatalf("%s: result %d guarantee diverged: %+v vs %+v", ctx, i, got[i], want[i])
+		}
+		matchesEqual(t, fmt.Sprintf("%s result %d", ctx, i), got[i].Match, want[i].Match)
+	}
+}
+
+// compareEngines checks both engines against the oracle and demands
+// identical seasonal answers and SP-Space guidance between them.
+func compareEngines(t *testing.T, ctx string, oneShard, sharded *Engine, queries [][]float64, lengths []int, st float64) {
+	t.Helper()
+	checkOracle(t, ctx+" ref", oneShard, queries, lengths, st)
+	checkOracle(t, ctx, sharded, queries, lengths, st)
+
 	// Seasonal queries: identical groups, ids, members, order.
 	for _, length := range lengths {
-		for sid := -1; sid < mono.NumSeries(); sid += 3 {
+		for sid := -1; sid < oneShard.NumSeries(); sid += 3 {
 			var ag, bg []query.SeasonalGroup
 			var aerr, berr error
 			if sid < 0 {
-				ag, aerr = mono.SeasonalAll(length)
+				ag, aerr = oneShard.SeasonalAll(length)
 				bg, berr = sharded.SeasonalAll(length)
 			} else {
-				ag, aerr = mono.SeasonalSample(sid, length)
+				ag, aerr = oneShard.SeasonalSample(sid, length)
 				bg, berr = sharded.SeasonalSample(sid, length)
 			}
 			sctx := fmt.Sprintf("%s seasonal l=%d sid=%d", ctx, length, sid)
@@ -201,29 +212,16 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 		}
 	}
 
-	// Batch answers must equal their single-query counterparts across both
-	// engines.
-	amb := mono.BestMatchBatch(context.Background(), queries, query.MatchAny)
-	bmb := sharded.BestMatchBatch(context.Background(), queries, query.MatchAny)
-	for i := range amb {
-		if (amb[i].Err == nil) != (bmb[i].Err == nil) {
-			t.Fatalf("%s: batch[%d] error diverged: %v vs %v", ctx, i, amb[i].Err, bmb[i].Err)
-		}
-		if amb[i].Err == nil {
-			matchesEqual(t, fmt.Sprintf("%s batch[%d]", ctx, i), amb[i].Match, bmb[i].Match)
-		}
-	}
-
 	// SP-Space guidance surface: bit-identical (==, no tolerance) at every
 	// layout — the sharded engine computes the critical values from the one
 	// global grouping, not from per-shard aggregates.
-	if mono.STHalf() != sharded.STHalf() || mono.STFinal() != sharded.STFinal() {
+	if oneShard.STHalf() != sharded.STHalf() || oneShard.STFinal() != sharded.STFinal() {
 		t.Fatalf("%s: critical values diverged: (%v,%v) vs (%v,%v)",
-			ctx, mono.STHalf(), mono.STFinal(), sharded.STHalf(), sharded.STFinal())
+			ctx, oneShard.STHalf(), oneShard.STFinal(), sharded.STHalf(), sharded.STFinal())
 	}
 	for _, length := range append([]int{-1, lengths[0] + 1}, lengths...) {
 		for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-			alo, ahi, aerr := mono.Recommend(deg, length)
+			alo, ahi, aerr := oneShard.Recommend(deg, length)
 			blo, bhi, berr := sharded.Recommend(deg, length)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: Recommend(%v,%d) error diverged: %v vs %v", ctx, deg, length, aerr, berr)
@@ -234,8 +232,8 @@ func compareEngines(t *testing.T, ctx string, mono, sharded *Engine, queries [][
 			}
 		}
 	}
-	for _, probe := range []float64{0, st * 0.5, mono.STHalf(), mono.STFinal(), st * 3} {
-		if a, b := mono.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
+	for _, probe := range []float64{0, st * 0.5, oneShard.STHalf(), oneShard.STFinal(), st * 3} {
+		if a, b := oneShard.DegreeOf(probe), sharded.DegreeOf(probe); a != b {
 			t.Fatalf("%s: DegreeOf(%v) diverged: %v vs %v", ctx, probe, a, b)
 		}
 	}
@@ -257,7 +255,7 @@ func TestShardEquivalence(t *testing.T) {
 						Workers: parallelism,
 						Query:   query.Options{Parallelism: parallelism},
 					}
-					mono, err := Build(d, cfg, 1, nil)
+					oneShard, err := Build(d, cfg, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -269,7 +267,7 @@ func TestShardEquivalence(t *testing.T) {
 						t.Fatalf("ShardCount = %d, want %d", got, shards)
 					}
 					queries := randomQueries(r, d, lengths, 10)
-					compareEngines(t, "built", mono, sharded, queries, lengths, st)
+					compareEngines(t, "built", oneShard, sharded, queries, lengths, st)
 				})
 			}
 		}
@@ -293,7 +291,7 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 					RebuildDrift: 0.2, // make some steps rebuild
 					Query:        query.Options{Parallelism: parallelism},
 				}
-				mono, err := Build(d, cfg, 1, nil)
+				oneShard, err := Build(d, cfg, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,22 +301,22 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 				}
 				for step := 0; step < 6; step++ {
 					if step%2 == 0 {
-						sid := r.Intn(mono.NumSeries())
+						sid := r.Intn(oneShard.NumSeries())
 						pts := make([]float64, 4+r.Intn(8))
-						x := mono.Window(sid, mono.monoOrData().Series[sid].Len()-1, 1)[0]
+						x := oneShard.Window(sid, oneShard.data.Series[sid].Len()-1, 1)[0]
 						for j := range pts {
 							x += r.NormFloat64() * 0.05
 							pts[j] = x
 						}
-						m2, err := mono.Append(sid, pts)
+						m2, err := oneShard.Append(sid, pts)
 						if err != nil {
-							t.Fatalf("step %d mono append: %v", step, err)
+							t.Fatalf("step %d oneShard append: %v", step, err)
 						}
 						s2, err := sharded.Append(sid, pts)
 						if err != nil {
 							t.Fatalf("step %d sharded append: %v", step, err)
 						}
-						mono, sharded = m2, s2
+						oneShard, sharded = m2, s2
 					} else {
 						extra := make([]*ts.Series, 1+r.Intn(2))
 						for i := range extra {
@@ -330,38 +328,29 @@ func TestShardEquivalenceMaintenance(t *testing.T) {
 							}
 							extra[i] = &ts.Series{Label: "new", Values: v}
 						}
-						m2, err := mono.Extend(extra)
+						m2, err := oneShard.Extend(extra)
 						if err != nil {
-							t.Fatalf("step %d mono extend: %v", step, err)
+							t.Fatalf("step %d oneShard extend: %v", step, err)
 						}
 						s2, err := sharded.Extend(extra)
 						if err != nil {
 							t.Fatalf("step %d sharded extend: %v", step, err)
 						}
-						mono, sharded = m2, s2
+						oneShard, sharded = m2, s2
 					}
-					if md, sd := mono.Drift(), sharded.Drift(); math.Abs(md-sd) > equivTol {
+					if md, sd := oneShard.Drift(), sharded.Drift(); md != sd {
 						t.Fatalf("step %d: drift diverged: %v vs %v", step, md, sd)
 					}
-					queries := randomQueries(r, mono.monoOrData(), lengths, 6)
-					compareEngines(t, fmt.Sprintf("step%d", step), mono, sharded, queries, lengths, st)
+					queries := randomQueries(r, oneShard.data, lengths, 6)
+					compareEngines(t, fmt.Sprintf("step%d", step), oneShard, sharded, queries, lengths, st)
 				}
-				if mono.Rebuilds() == 0 {
+				if oneShard.Rebuilds() == 0 {
 					t.Error("maintenance interleaving never crossed the rebuild threshold; weaken RebuildDrift")
 				}
-				if mono.Rebuilds() != sharded.Rebuilds() {
-					t.Errorf("rebuild counters diverged: mono %d, sharded %d", mono.Rebuilds(), sharded.Rebuilds())
+				if oneShard.Rebuilds() != sharded.Rebuilds() {
+					t.Errorf("rebuild counters diverged: oneShard %d, sharded %d", oneShard.Rebuilds(), sharded.Rebuilds())
 				}
 			})
 		}
 	}
-}
-
-// monoOrData exposes the engine's normalized dataset to the test harness
-// (query generation needs series lengths after maintenance).
-func (e *Engine) monoOrData() *ts.Dataset {
-	if e.mono != nil {
-		return e.mono.Base.Dataset
-	}
-	return e.data
 }

@@ -10,24 +10,32 @@ import (
 	"onex/internal/ts"
 )
 
-// Append grows one series in time, routing the maintenance work through the
-// series' home shard: the global assignment rule runs once (identical to
-// the unsharded path, so answers stay layout-invariant), then only the
-// shards holding a touched or new group — plus the home shard, whose data
-// grew — re-derive their index layers; every other shard is reused
-// wholesale. The amortized rebuild policy applies exactly as in
-// core.Engine.Append: crossing Options.RebuildDrift re-runs the full global
-// build (pinned to the indexed length set) and re-derives every shard.
+// Append grows one existing series in time — streaming point ingestion.
+// Only the suffix subsequences (windows overlapping the new points) are
+// pushed through the Algorithm 1 assignment rule, once, over the global
+// grouping (grouping.AppendPoints), so answers stay layout-invariant; then
+// only the series' home shard and the shards holding a touched group
+// refresh their index layers incrementally (rspace.Refresh) — every other
+// shard is reused wholesale. Maintenance therefore costs
+// O(new-subsequences × g × L) distance work instead of a rebuild.
+//
+// Amortized rebuilds: when the accumulated drift (fraction of
+// incrementally assigned members) would cross BuildConfig.RebuildDrift, the
+// full offline build re-runs over the final data instead, pinned to the
+// base's indexed length set, and every shard re-derives — identical to a
+// from-scratch Build over the same (normalized) dataset for those lengths.
+//
+// The receiver stays valid and unchanged; a new engine is returned. Points
+// are scaled with the original dataset's min/max under NormalizeDataset
+// (values outside the original range map outside [0,1], which is
+// harmless); NormalizeNone appends raw values; NormalizePerSeries bases
+// cannot Append (the original per-series scale is not retained).
 func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
-	if e.mono != nil {
-		mono, err := e.mono.Append(seriesID, points)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
-	}
 	if len(points) == 0 {
 		return nil, errors.New("core: no points to append")
+	}
+	if e.adapted {
+		return nil, errors.New("core: threshold-adapted engines cannot be appended to; append to the original base first")
 	}
 	scaled, err := core.ScaleAppendPoints(e.cfg.Normalize, e.normMin, e.normMax, points)
 	if err != nil {
@@ -52,20 +60,20 @@ func (e *Engine) Append(seriesID int, points []float64) (*Engine, error) {
 		})
 }
 
-// Extend adds series to the base incrementally. New series ids continue
-// after the existing ones and hash to their shards without disturbing the
-// placement of old series; the global assignment rule runs once and only
-// the affected shards re-derive.
+// Extend adds series to the base incrementally: the new series join the
+// existing similarity groups via the Algorithm 1 assignment rule (only the
+// new subsequences are clustered) and only the affected shards refresh.
+// New series ids continue after the existing ones and hash to their shards
+// without disturbing the placement of old series. Extend participates in
+// the amortized rebuild policy like Append. New series are scaled like
+// Append's points, except that NormalizePerSeries scales each new series
+// by itself.
 func (e *Engine) Extend(newSeries []*ts.Series) (*Engine, error) {
-	if e.mono != nil {
-		mono, err := e.mono.Extend(newSeries)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
-	}
 	if len(newSeries) == 0 {
 		return nil, errors.New("core: no series to add")
+	}
+	if e.adapted {
+		return nil, errors.New("core: threshold-adapted engines cannot be extended; extend the original base first")
 	}
 	work := e.data.CloneShared()
 	from := work.N()
@@ -74,6 +82,9 @@ func (e *Engine) Extend(newSeries []*ts.Series) (*Engine, error) {
 		if s == nil || s.Len() == 0 {
 			return nil, errors.New("core: empty new series")
 		}
+		// Reject non-finite values at the boundary, as Build (Validate) and
+		// Append (Dataset.AppendPoints) do — a NaN window would found a
+		// group with a NaN representative and poison every later query.
 		if i := ts.CheckFinite(s.Values); i >= 0 {
 			return nil, fmt.Errorf("core: new series has non-finite value %v at index %d", s.Values[i], i)
 		}
@@ -107,11 +118,15 @@ func (e *Engine) maintenanceConfig() grouping.Config {
 }
 
 // maintainOrRebuild finishes a maintenance step over the grown dataset,
-// applying the exact rebuild decision rule of the unsharded engine
-// (core.RebuildDue over the global drift counters) so a sharded base
-// rebuilds at precisely the same appends a Shards=1 base would. homes lists
-// the shards whose data grew; shards holding a touched group join them in
-// re-deriving their index layers, everything else is reused.
+// applying the rebuild decision rule (core.RebuildDue over the global drift
+// counters) so every layout rebuilds at precisely the same appends. The
+// rebuild's length set is pinned to the currently indexed lengths — never
+// re-resolved from the grown data — so crossing the drift threshold can
+// never change which query lengths the base answers; Progress/Cancel flow
+// like the original build's, so a serving layer can abort a
+// maintenance-triggered rebuild on shutdown. homes lists the shards whose
+// data grew; shards holding a touched group join them in re-deriving their
+// index layers, everything else is reused.
 func (e *Engine) maintainOrRebuild(work *ts.Dataset, newCount int64, homes []int,
 	incremental func() (*grouping.Result, *grouping.Delta, error)) (*Engine, error) {
 

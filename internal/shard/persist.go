@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"io"
 	"time"
 
@@ -8,15 +9,15 @@ import (
 )
 
 // Save serializes the engine as one ONEX base stream: the global
-// (normalized) dataset and grouping — exactly the monolithic payload — plus
-// the shard count. Per-shard restrictions and index layers are derived
-// state and are re-derived on load, the same way the monolithic format
-// recomputes its Dc matrices; keeping the snapshot a single stream
-// preserves the atomic-rename semantics serving layers (internal/hub)
-// depend on.
+// (normalized) dataset and grouping plus the shard count. Per-shard
+// restrictions and index layers are derived state and are re-derived on
+// load, the same way the Dc layers are recomputed; keeping the snapshot a
+// single stream preserves the atomic-rename semantics serving layers
+// (internal/hub) depend on. Threshold-adapted engines cannot be saved
+// (save the original base and re-adapt after loading).
 func (e *Engine) Save(w io.Writer) error {
-	if e.mono != nil {
-		return e.mono.Save(w)
+	if e.adapted {
+		return errors.New("core: threshold-adapted engines cannot be saved; save the original base")
 	}
 	return core.EncodeSnapshot(w, &core.Snapshot{
 		Shards:    e.shards,
@@ -29,11 +30,10 @@ func (e *Engine) Save(w io.Writer) error {
 	})
 }
 
-// Load reopens an engine written by Save, dispatching on the stream's shard
-// count: version ≤ 3 snapshots (and version-4 snapshots of unsharded
-// engines) load as a plain single engine, sharded snapshots re-derive their
-// per-shard index layers from the stored global payload and answer
-// identically to the saved engine.
+// Load reopens an engine written by Save, re-deriving the per-shard index
+// layers of the stream's shard count from the stored global payload; the
+// loaded engine answers identically to the saved one. Version ≤ 3
+// snapshots load as one shard.
 //
 // workers is serving-time configuration, never persisted: a non-empty list
 // re-ships the re-derived shard state to remote worker processes (fresh
@@ -43,13 +43,6 @@ func Load(r io.Reader, workers []string) (*Engine, error) {
 	snap, err := core.DecodeSnapshot(r)
 	if err != nil {
 		return nil, err
-	}
-	if snap.Shards <= 1 && len(workers) == 0 {
-		mono, err := core.FromSnapshot(snap)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
 	}
 	shards := snap.Shards
 	if shards < 1 {
@@ -75,7 +68,8 @@ func Load(r io.Reader, workers []string) (*Engine, error) {
 	e.buildTime = time.Since(start)
 	if snap.BuildTime > 0 {
 		// Report the original offline construction cost, not the (much
-		// cheaper) shard re-derivation.
+		// cheaper) index re-derivation — the point of snapshots is skipping
+		// it.
 		e.buildTime = snap.BuildTime
 	}
 	return e, nil
@@ -84,8 +78,5 @@ func Load(r io.Reader, workers []string) (*Engine, error) {
 // SavedAt reports when the engine was serialized (zero if never saved or
 // loaded from a version-1 stream).
 func (e *Engine) SavedAt() time.Time {
-	if e.mono != nil {
-		return e.mono.Meta().SavedAt
-	}
 	return e.savedAt
 }

@@ -29,7 +29,7 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 	d := randomDataset(r, 18, 32)
 	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 1, Query: query.Options{}}
 
-	mono, err := Build(d, cfg, 1, nil)
+	oneShard, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 						aggHalf = entry.STHalf
 					}
 				}
-				_, exactHalf, err := mono.Recommend(rspace.Strict, l)
+				_, exactHalf, err := oneShard.Recommend(rspace.Strict, l)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,13 +63,13 @@ func TestRecommendExactAcrossShards(t *testing.T) {
 			}
 
 			// (b) The fixed surface is bit-identical to the unsharded engine.
-			if sharded.STHalf() != mono.STHalf() || sharded.STFinal() != mono.STFinal() {
-				t.Fatalf("critical values diverged: sharded (%v,%v) vs mono (%v,%v)",
-					sharded.STHalf(), sharded.STFinal(), mono.STHalf(), mono.STFinal())
+			if sharded.STHalf() != oneShard.STHalf() || sharded.STFinal() != oneShard.STFinal() {
+				t.Fatalf("critical values diverged: sharded (%v,%v) vs oneShard (%v,%v)",
+					sharded.STHalf(), sharded.STFinal(), oneShard.STHalf(), oneShard.STFinal())
 			}
 			for _, length := range append([]int{-1}, lengths...) {
 				for _, deg := range []rspace.Degree{rspace.Strict, rspace.Medium, rspace.Loose} {
-					alo, ahi, aerr := mono.Recommend(deg, length)
+					alo, ahi, aerr := oneShard.Recommend(deg, length)
 					blo, bhi, berr := sharded.Recommend(deg, length)
 					if aerr != nil || berr != nil {
 						t.Fatalf("Recommend(%v,%d) errored: %v / %v", deg, length, aerr, berr)
@@ -108,7 +108,7 @@ func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	d := randomDataset(r, 14, 30)
 	cfg := core.BuildConfig{ST: st, Lengths: lengths, Seed: 2, Query: query.Options{}}
 
-	mono, err := Build(d, cfg, 1, nil)
+	oneShard, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestDegreeOfPopulatedThresholds(t *testing.T) {
 	probes := []float64{0, 1e-9, st / 2, sharded.STHalf(), sharded.STHalf() * 1.000001,
 		sharded.STFinal(), sharded.STFinal() * 2}
 	for _, p := range probes {
-		if a, b := mono.DegreeOf(p), sharded.DegreeOf(p); a != b {
-			t.Fatalf("DegreeOf(%v) diverged: mono %v vs sharded %v", p, a, b)
+		if a, b := oneShard.DegreeOf(p), sharded.DegreeOf(p); a != b {
+			t.Fatalf("DegreeOf(%v) diverged: oneShard %v vs sharded %v", p, a, b)
 		}
 	}
 }

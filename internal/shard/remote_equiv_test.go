@@ -91,7 +91,7 @@ func TestRemoteEquivalence(t *testing.T) {
 					Query:   query.Options{Parallelism: parallelism},
 				}
 				urls, _ := startWorkers(t, 2)
-				mono, err := Build(d, cfg, 1, nil)
+				oneShard, err := Build(d, cfg, 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestRemoteEquivalence(t *testing.T) {
 					t.Fatalf("WorkerURLs = %v, want the 2 configured workers", ws)
 				}
 				queries := randomQueries(r, d, lengths, 8)
-				compareEngines(t, "mono-vs-remote", mono, remote, queries, lengths, st)
+				compareEngines(t, "oneShard-vs-remote", oneShard, remote, queries, lengths, st)
 				compareEngines(t, "local-vs-remote", local, remote, queries, lengths, st)
 			})
 		}
@@ -131,7 +131,7 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 		Query: query.Options{Parallelism: 2},
 	}
 	urls, _ := startWorkers(t, 2)
-	mono, err := Build(d, cfg, 1, nil)
+	oneShard, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,22 +141,22 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 	}
 	for step := 0; step < 4; step++ {
 		if step%2 == 0 {
-			sid := r.Intn(mono.NumSeries())
+			sid := r.Intn(oneShard.NumSeries())
 			pts := make([]float64, 4+r.Intn(6))
-			x := mono.Window(sid, mono.monoOrData().Series[sid].Len()-1, 1)[0]
+			x := oneShard.Window(sid, oneShard.data.Series[sid].Len()-1, 1)[0]
 			for j := range pts {
 				x += r.NormFloat64() * 0.05
 				pts[j] = x
 			}
-			m2, err := mono.Append(sid, pts)
+			m2, err := oneShard.Append(sid, pts)
 			if err != nil {
-				t.Fatalf("step %d mono append: %v", step, err)
+				t.Fatalf("step %d oneShard append: %v", step, err)
 			}
 			r2, err := remote.Append(sid, pts)
 			if err != nil {
 				t.Fatalf("step %d remote append: %v", step, err)
 			}
-			mono, remote = m2, r2
+			oneShard, remote = m2, r2
 		} else {
 			v := make([]float64, 24+r.Intn(8))
 			x := r.Float64() * 4
@@ -165,18 +165,18 @@ func TestRemoteMaintenanceEquivalence(t *testing.T) {
 				v[j] = x
 			}
 			extra := []*ts.Series{{Label: "new", Values: v}}
-			m2, err := mono.Extend(extra)
+			m2, err := oneShard.Extend(extra)
 			if err != nil {
-				t.Fatalf("step %d mono extend: %v", step, err)
+				t.Fatalf("step %d oneShard extend: %v", step, err)
 			}
 			r2, err := remote.Extend(extra)
 			if err != nil {
 				t.Fatalf("step %d remote extend: %v", step, err)
 			}
-			mono, remote = m2, r2
+			oneShard, remote = m2, r2
 		}
-		queries := randomQueries(r, mono.monoOrData(), lengths, 4)
-		compareEngines(t, fmt.Sprintf("step%d", step), mono, remote, queries, lengths, st)
+		queries := randomQueries(r, oneShard.data, lengths, 4)
+		compareEngines(t, fmt.Sprintf("step%d", step), oneShard, remote, queries, lengths, st)
 	}
 	remote.Close()
 }
@@ -196,7 +196,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 		Query: query.Options{Parallelism: 4},
 	}
 	urls, swaps := startWorkers(t, 2)
-	mono, err := Build(d, cfg, 1, nil)
+	oneShard, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 	}
 	refs := make([]ref, len(queries))
 	for i, q := range queries {
-		m, err := mono.BestMatch(context.Background(), q, query.MatchAny)
+		m, err := oneShard.BestMatch(context.Background(), q, query.MatchAny)
 		refs[i] = ref{m: m, err: err != nil}
 	}
 
@@ -263,7 +263,7 @@ func TestRemoteWorkerRestart(t *testing.T) {
 		}
 	}
 	// After the dust settles the whole mix still matches.
-	compareEngines(t, "post-restart", mono, remote, queries, lengths, st)
+	compareEngines(t, "post-restart", oneShard, remote, queries, lengths, st)
 }
 
 // TestRemoteWorkerUnavailable: a worker that stays down past the retry

@@ -218,30 +218,42 @@ func TestRemoteWorkerSpanWorkAgreement(t *testing.T) {
 			continue
 		}
 		v := rec.Snapshot()
-		sums := map[string]int64{}
+		// The rep scans run on the workers; member refinement runs at the
+		// coordinator's "refine" spans, shipping rounds to the workers only
+		// for large groups. Scan spans plus refine spans partition the work.
+		sums, members, refine := map[string]int64{}, map[string]int64{}, map[string]int64{}
 		for _, sp := range v.Spans {
-			if !strings.HasPrefix(sp.Name, "worker-") {
+			into := sums
+			switch {
+			case sp.Name == "worker-members":
+				into = members
+			case sp.Name == "refine":
+				into = refine
+			case !strings.HasPrefix(sp.Name, "worker-"):
 				continue
 			}
 			for _, a := range sp.Attrs {
-				sums[a.Key] += a.Value
+				into[a.Key] += a.Value
 			}
 		}
-		// Every cascade counter the coordinator accumulated must equal the sum
-		// over worker spans (best-match work happens entirely on workers).
 		for _, key := range []string{"repsExamined", "prunedByKim", "prunedByKeogh", "dtwComputed"} {
-			if sums[key] != v.Work[key] {
-				t.Fatalf("q%d: worker span sum %s=%d != trace work %d (work=%v sums=%v)",
-					qi, key, sums[key], v.Work[key], v.Work, sums)
+			if sums[key]+refine[key] != v.Work[key] {
+				t.Fatalf("q%d: worker scan %s=%d + refine %d != trace work %d (work=%v scans=%v refine=%v)",
+					qi, key, sums[key], refine[key], v.Work[key], v.Work, sums, refine)
 			}
 		}
+		// Shipped member rounds are part of the refine work.
+		if members["dtwComputed"] > refine["dtwComputed"] {
+			t.Fatalf("q%d: worker member DTWs %d exceed refine DTWs %d", qi, members["dtwComputed"], refine["dtwComputed"])
+		}
+		sums["membersEvaluated"] = members["membersEvaluated"]
 		// membersTested is decision-level: the coordinator's sequential replay
 		// can stop at the patience cutoff before crediting every member the
 		// workers evaluated, so it is bounded by — not equal to — the batch
-		// sizes the worker spans report.
-		if v.Work["membersTested"] > sums["membersEvaluated"] {
-			t.Fatalf("q%d: membersTested %d exceeds worker-evaluated %d",
-				qi, v.Work["membersTested"], sums["membersEvaluated"])
+		// sizes the worker spans report plus the members refined locally.
+		if v.Work["membersTested"] > sums["membersEvaluated"]+refine["membersTested"] {
+			t.Fatalf("q%d: membersTested %d exceeds worker-evaluated %d plus refined %d",
+				qi, v.Work["membersTested"], sums["membersEvaluated"], refine["membersTested"])
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package shard implements the intra-dataset sharded ONEX engine: one
-// dataset's series are hash-partitioned across N shards, each holding its
-// own GTI/LSI index layers (inter-representative distance matrix, envelopes,
-// scan orders) over just its series, built concurrently on the shared worker
-// pool and queried by scatter-gather (query.Scatter).
+// Package shard implements the ONEX serving engine: one dataset's series
+// are hash-partitioned across N ≥ 1 shards, each holding its own GTI/LSI
+// index layers (inter-representative distance lists, envelopes, scan
+// orders) over just its series, built concurrently on the shared worker
+// pool and queried through query.Scatter. One in-process shard holding
+// every series is the unsharded engine; there is no second code path.
 //
 // # Why the grouping stays global
 //
@@ -13,40 +14,37 @@
 // subset of the series produces different groups than over the whole
 // dataset, and a scatter-gather min-merge over different groupings is a
 // different (uncomparable) approximation. This engine instead runs the ONE
-// deterministic global grouping every layout shares (the same
-// grouping.Build the single-engine path runs — bit-identical for a fixed
-// dataset/ST/lengths/seed at every worker count) and partitions everything
-// downstream of it by series:
+// deterministic global grouping every layout shares (grouping.Build —
+// bit-identical for a fixed dataset/ST/lengths/seed at every worker count)
+// and partitions everything downstream of it by series:
 //
 //   - each shard gets the sub-dataset of its series (value arrays shared,
 //     zero copy) and the restriction of every global group to those series
-//     (shared representative, preserved member order and EDs);
+//     (shared representative, preserved member order and EDs). A shard that
+//     holds every series indexes the global group objects themselves;
 //   - the expensive per-length index layers — the sparse top-k Dc neighbor
 //     lists, the LB_Keogh envelopes, the scan orders — are built per shard
 //     over the restricted group sets, concurrently on the internal/parallel
 //     pool;
-//   - queries scatter across shards and gather exactly the monolithic
-//     decisions (see query.Scatter for the per-query argument), so
-//     Shards=1 and Shards=N answer identically;
+//   - queries scatter across shards and gather exactly one decision
+//     procedure (see query.Scatter for the per-query argument), so every
+//     shard count answers identically;
 //   - the SP-Space guidance surface (Recommend, DegreeOf, STHalf/STFinal)
-//     is computed from the global grouping at assemble time via
-//     rspace.MergeThresholdsFor — Prim's algorithm with on-demand
-//     inter-representative distances, O(g) working memory — so it too is
-//     bit-identical at every shard count, without materializing a global
-//     distance matrix;
+//     is computed once from the global grouping at assemble time (see
+//     assemble), so it too is bit-identical at every shard count, without
+//     materializing a global distance matrix;
 //   - incremental maintenance (Append/Extend) runs the global assignment
 //     rule once, then refreshes only the shards whose series or groups the
-//     step touched; untouched shards are reused wholesale.
-//
-// Shards(0|1) is the unsharded path: the engine embeds a plain core.Engine
-// and forwards, bit-compatible with previous releases.
+//     step touched; untouched shards are reused wholesale;
+//   - threshold adaptation (WithThreshold, Sec. 5.2) splits or merges the
+//     global groups once and re-assembles the same layout over the result.
 //
 // # Persistence
 //
-// A sharded engine snapshots as a single version-4 stream carrying the
-// global dataset + grouping payload (exactly the monolithic format) plus
-// the shard count: per-shard state is derived, like the Dc neighbor lists,
-// and is re-derived on load. Version ≤ 3 snapshots load as one shard.
+// An engine snapshots as a single version-5 stream carrying the global
+// dataset + grouping payload plus the shard count: per-shard state is
+// derived, like the Dc neighbor lists, and is re-derived on load. Version
+// ≤ 3 snapshots load as one shard.
 package shard
 
 import (
@@ -65,14 +63,10 @@ import (
 )
 
 // Engine is a serving engine over one dataset with a fixed shard layout.
-// Like core.Engine it is immutable after construction: Append/Extend/
-// WithThreshold return new engines and the receiver stays valid, so any
-// number of queries can run concurrently with maintenance swaps.
+// It is immutable after construction: Append/Extend/WithThreshold return
+// new engines and the receiver stays valid, so any number of queries can
+// run concurrently with maintenance swaps.
 type Engine struct {
-	// mono is the unsharded backend (Shards ≤ 1); when set, every method
-	// forwards to it and no sharded state exists.
-	mono *core.Engine
-
 	shards int
 	// workerURLs, when non-empty, places every shard on a remote worker
 	// process (shard s on workerURLs[s%len]); empty keeps shards in-process.
@@ -83,17 +77,18 @@ type Engine struct {
 	// data is the global normalized dataset; shard sub-datasets share its
 	// (immutable) value arrays.
 	data *ts.Dataset
-	// grouped is the global grouping — identical to what the single-engine
-	// path builds over the same data.
+	// grouped is the global grouping every layout shares.
 	grouped *grouping.Result
+	// adapted marks a threshold-adapted engine (WithThreshold), which
+	// refuses maintenance and Save.
+	adapted bool
 	parts   []*part
 	scatter *query.Scatter
 
 	// spHalf/spFinal are the per-length SP-Space critical thresholds of the
-	// ONE global grouping, computed at assemble time with on-demand
-	// inter-representative distances (rspace.MergeThresholdsFor) — never
-	// from per-shard aggregates, so Recommend/DegreeOf/STHalf/STFinal answer
-	// bit-identically to the unsharded engine over the same data.
+	// ONE global grouping, computed at assemble time — never from per-shard
+	// aggregates, so Recommend/DegreeOf/STHalf/STFinal answer
+	// bit-identically at every shard count.
 	spHalf, spFinal map[int]float64
 	// globalSTHalf/globalSTFinal are the dataset-wide maxima over lengths,
 	// mirroring rspace.Base.GlobalSTHalf/GlobalSTFinal.
@@ -135,6 +130,11 @@ type part struct {
 	owned map[int][]bool
 }
 
+// holdsAll reports whether the part holds every series of data. Its local
+// series ids then equal the global ones and every restriction keeps every
+// member, so the part indexes the global group objects themselves.
+func (p *part) holdsAll(data *ts.Dataset) bool { return len(p.series) == data.N() }
+
 // has reports whether the part holds global group k of the given length.
 // sortedIDs (not globalIDs: an incremental refresh appends newly-present
 // groups out of id order) is searched.
@@ -161,12 +161,12 @@ func ShardOf(seriesID, shards int) int {
 }
 
 // Build constructs an engine over the dataset with the requested shard
-// count. Shards ≤ 1 with no workers selects the unsharded path (a plain
-// core.Engine — bit-compatible with previous releases); counts above the
-// series count clamp to it (a shard needs at least a chance of holding a
-// series); negative counts error. The global grouping runs once on
-// cfg.Workers exactly as the unsharded build would, then the per-shard
-// index layers are derived concurrently on the same pool.
+// count. Shards 0 and 1 both select one shard; counts above the series
+// count clamp to it (a shard needs at least a chance of holding a series);
+// negative counts error. The input is normalized into a copy
+// (core.PrepareDataset) and never modified. The global grouping runs once
+// on cfg.Workers, then the per-shard index layers are derived concurrently
+// on the same pool.
 //
 // A non-empty workers list places every shard on a remote worker process
 // (shard s on workers[s%len(workers)]): the engine ships each shard's
@@ -177,13 +177,6 @@ func ShardOf(seriesID, shards int) int {
 func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*Engine, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("shard: shard count must be ≥ 0, got %d", shards)
-	}
-	if shards <= 1 && len(workers) == 0 {
-		mono, err := core.Build(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{mono: mono}, nil
 	}
 	if shards < 1 {
 		shards = 1
@@ -232,6 +225,15 @@ func Build(d *ts.Dataset, cfg core.BuildConfig, shards int, workers []string) (*
 // engine's values for lengths the delta left untouched (no touched groups,
 // no new groups — the group set is then value-identical, so the thresholds
 // are too).
+//
+// SP-Space is computed once per length from the global grouping. A local
+// part holding every series indexes the global group objects themselves,
+// so its entries' thresholds — derived from the Dc matrix its index build
+// evaluates anyway — are the global values bit for bit; otherwise one Prim
+// pass per length runs with on-demand inter-representative distances
+// (rspace.MergeThresholdsFor) — O(g) extra memory, never a materialized
+// global matrix. Both evaluate the same float expression over the same
+// groups.
 func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta) error {
 	var prev []*part
 	if prevE != nil {
@@ -271,15 +273,22 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 		}
 	}
 
-	// Exact SP-Space over the global grouping: one Prim pass per length with
-	// on-demand distances — O(g) extra memory, never a materialized global
-	// matrix. Answers are bit-identical to the unsharded engine because both
-	// evaluate the same float expression over the same global groups.
+	var whole *rspace.Base
+	for _, p := range parts {
+		if p.base != nil && p.holdsAll(e.data) {
+			whole = p.base
+			break
+		}
+	}
 	lengths := e.grouped.Lengths
 	halves := make([]float64, len(lengths))
 	finals := make([]float64, len(lengths))
 	parallel.ForEach(e.cfg.Workers, len(lengths), func(i int) {
 		l := lengths[i]
+		if whole != nil {
+			halves[i], finals[i] = whole.Entry(l).STHalf, whole.Entry(l).STFinal
+			return
+		}
 		groups := e.grouped.ByLength[l].Groups
 		if prevE != nil && delta != nil &&
 			len(delta.Touched[l]) == 0 && delta.PrevGroups[l] == len(groups) {
@@ -328,9 +337,11 @@ func (e *Engine) assemble(prevE *Engine, affected []bool, delta *grouping.Delta)
 // arrays), the restriction of every global group to those series (shared
 // representative, member order and EDs preserved — restriction of a sorted
 // list is sorted), and the full GTI/LSI index layers over the restricted
-// group set. Group ownership — which shard scans a representative — goes to
-// the shard holding the group's nearest member (Members[0] of the global
-// LSI order), a pure function of the global grouping.
+// group set. A part holding every series shares the global group objects
+// instead of copying them. Group ownership — which shard scans a
+// representative — goes to the shard holding the group's nearest member
+// (Members[0] of the global LSI order), a pure function of the global
+// grouping.
 func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.BuildConfig) (*part, error) {
 	p := &part{
 		globalIDs: make(map[int][]int, len(gr.Lengths)),
@@ -338,6 +349,7 @@ func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.Bu
 		owned:     make(map[int][]bool, len(gr.Lengths)),
 	}
 	localOf := p.collectSeries(data, shards, s)
+	whole := p.holdsAll(data)
 
 	res := &grouping.Result{
 		ST:       gr.ST,
@@ -346,23 +358,21 @@ func buildPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.Bu
 	}
 	for _, l := range gr.Lengths {
 		src := gr.ByLength[l]
-		lg := &grouping.LengthGroups{Length: l}
+		lg := &grouping.LengthGroups{Length: l, Groups: make([]*grouping.Group, 0, len(src.Groups))}
 		gids := make([]int, 0, len(src.Groups))
 		owned := make([]bool, 0, len(src.Groups))
 		for k, g := range src.Groups {
-			members := restrictMembers(g, shards, s, localOf)
-			if len(members) == 0 {
-				continue
+			rg := g // every member kept, identity ids: local index k == global id
+			if !whole {
+				rg = restrictGroup(g, len(lg.Groups), shards, s, localOf)
+				if rg == nil {
+					continue
+				}
 			}
-			lg.Groups = append(lg.Groups, &grouping.Group{
-				Length:  l,
-				ID:      len(lg.Groups),
-				Rep:     g.Rep, // immutable, shared with the global group
-				Members: members,
-			})
+			lg.Groups = append(lg.Groups, rg)
 			gids = append(gids, k)
 			owned = append(owned, ShardOf(g.Members[0].SeriesIdx, shards) == s)
-			res.TotalSubseq += int64(len(members))
+			res.TotalSubseq += int64(len(rg.Members))
 		}
 		res.ByLength[l] = lg
 		p.globalIDs[l] = gids
@@ -501,8 +511,12 @@ func (p *part) collectSeries(data *ts.Dataset, shards, s int) map[int]int {
 }
 
 // sub materializes the shard's sub-dataset: fresh series headers sharing
-// the (immutable) global value arrays, local ids in p.series order.
+// the (immutable) global value arrays, local ids in p.series order — or the
+// global dataset itself when the part holds every series.
 func (p *part) sub(data *ts.Dataset, s int) *ts.Dataset {
+	if p.holdsAll(data) {
+		return data
+	}
 	sub := &ts.Dataset{Name: fmt.Sprintf("%s#%d", data.Name, s)}
 	for _, id := range p.series {
 		sub.Append(data.Series[id].Label, data.Series[id].Values)
@@ -521,10 +535,11 @@ func (p *part) finish(base *rspace.Base, qopts query.Options) (*part, error) {
 	return p, nil
 }
 
-// restrictMembers filters one global group's member list down to the
-// shard's series, remapping to local ids. Restriction of the (ED-sorted)
-// global LSI order preserves it.
-func restrictMembers(g *grouping.Group, shards, s int, localOf map[int]int) []grouping.Member {
+// restrictGroup returns the shard's local group id: global group g's
+// member list filtered down to the shard's series and remapped to local
+// ids, sharing g's (immutable) representative — or nil when no member is
+// resident. Restriction of the (ED-sorted) global LSI order preserves it.
+func restrictGroup(g *grouping.Group, id, shards, s int, localOf map[int]int) *grouping.Group {
 	var members []grouping.Member
 	for _, m := range g.Members {
 		if ShardOf(m.SeriesIdx, shards) != s {
@@ -536,7 +551,10 @@ func restrictMembers(g *grouping.Group, shards, s int, localOf map[int]int) []gr
 			EDToRep:   m.EDToRep,
 		})
 	}
-	return members
+	if len(members) == 0 {
+		return nil
+	}
+	return &grouping.Group{Length: g.Length, ID: id, Rep: g.Rep, Members: members}
 }
 
 // refreshPart is buildPart's incremental form, run on the shards a
@@ -563,6 +581,7 @@ func refreshPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.
 		owned:     make(map[int][]bool, len(gr.Lengths)),
 	}
 	localOf := p.collectSeries(data, shards, s)
+	whole := p.holdsAll(data)
 
 	res := &grouping.Result{
 		ST:       gr.ST,
@@ -589,13 +608,13 @@ func refreshPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.
 		for li, k := range prevIDs {
 			g := src.Groups[k]
 			rg := prevGroups[li]
+			switch {
+			case whole && li == k:
+				rg = g // value-identical when untouched; the current object either way
+			case touched[k]:
+				rg = restrictGroup(g, li, shards, s, localOf)
+			}
 			if touched[k] {
-				rg = &grouping.Group{
-					Length:  l,
-					ID:      li,
-					Rep:     g.Rep,
-					Members: restrictMembers(g, shards, s, localOf),
-				}
 				localTouched = append(localTouched, li)
 			}
 			lg.Groups = append(lg.Groups, rg)
@@ -618,19 +637,17 @@ func refreshPart(data *ts.Dataset, gr *grouping.Result, shards, s int, cfg core.
 		sort.Ints(candidates)
 		for _, k := range candidates {
 			g := src.Groups[k]
-			members := restrictMembers(g, shards, s, localOf)
-			if len(members) == 0 {
-				continue
+			rg := g
+			if !whole || len(lg.Groups) != k {
+				rg = restrictGroup(g, len(lg.Groups), shards, s, localOf)
+				if rg == nil {
+					continue
+				}
 			}
-			lg.Groups = append(lg.Groups, &grouping.Group{
-				Length:  l,
-				ID:      len(lg.Groups),
-				Rep:     g.Rep,
-				Members: members,
-			})
+			lg.Groups = append(lg.Groups, rg)
 			gids = append(gids, k)
 			owned = append(owned, ShardOf(g.Members[0].SeriesIdx, shards) == s)
-			res.TotalSubseq += int64(len(members))
+			res.TotalSubseq += int64(len(rg.Members))
 		}
 
 		res.ByLength[l] = lg

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -50,7 +51,7 @@ func TestBuildValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if e.ShardCount() != 1 {
-			t.Errorf("Shards=%d: ShardCount = %d, want 1 (single-engine path)", shards, e.ShardCount())
+			t.Errorf("Shards=%d: ShardCount = %d, want 1 (one-shard layout)", shards, e.ShardCount())
 		}
 	}
 	// Counts above the series count clamp to it.
@@ -164,31 +165,74 @@ search:
 	if err != nil {
 		t.Fatalf("build with empty shard: %v", err)
 	}
-	mono, err := Build(d, cfg, 1, nil)
+	oneShard, err := Build(d, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := randomQueries(r, d, cfg.Lengths, 6)
-	compareEngines(t, "empty-shard", mono, e, queries, cfg.Lengths, cfg.ST)
+	compareEngines(t, "empty-shard", oneShard, e, queries, cfg.Lengths, cfg.ST)
 }
 
+// TestWithThresholdSharded pins Sec. 5.2 adaptation at every layout: the
+// split/merge rules run once over the global grouping and re-assemble, so
+// adapted engines at 1, 2 and 3 shards, in-process and remote, at
+// parallelism 1 and 8, answer Float64bits-equal to the oracle over the
+// adapted grouping (and to each other), and every adapted engine refuses
+// maintenance and Save.
 func TestWithThresholdSharded(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	d := randomDataset(r, 8, 24)
-	cfg := core.BuildConfig{ST: 0.3, Lengths: []int{6, 10}, Seed: 1}
-	mono, err := Build(d, cfg, 1, nil)
+	d := randomDataset(r, 10, 26)
+	lengths := []int{6, 10}
+	queries := randomQueries(r, d, lengths, 6)
+	urls, _ := startWorkers(t, 2)
+	for _, par := range []int{1, 8} {
+		cfg := core.BuildConfig{ST: 0.3, Lengths: lengths, Seed: 1, Query: query.Options{Parallelism: par}}
+		var layouts []*Engine
+		for _, l := range []struct {
+			shards  int
+			workers []string
+		}{{0, nil}, {2, nil}, {3, nil}, {3, urls}} {
+			e, err := Build(d, cfg, l.shards, l.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			layouts = append(layouts, e)
+		}
+		for _, stPrime := range []float64{0.15, 0.3, 0.5} {
+			var one *Engine
+			for i, e := range layouts {
+				name := fmt.Sprintf("p%d layout%d st'=%v", par, i, stPrime)
+				adapted, err := e.WithThreshold(stPrime)
+				if err != nil {
+					t.Fatalf("%s: WithThreshold: %v", name, err)
+				}
+				if adapted.ST() != stPrime || adapted.ShardCount() != e.ShardCount() {
+					t.Fatalf("%s: adapted ST %v shards %d, want %v and %d",
+						name, adapted.ST(), adapted.ShardCount(), stPrime, e.ShardCount())
+				}
+				if one == nil {
+					one = adapted
+				}
+				compareEngines(t, name, one, adapted, queries, lengths, stPrime)
+				if _, err := adapted.Append(0, []float64{0.5}); err == nil {
+					t.Errorf("%s: adapted Append succeeded", name)
+				}
+				if _, err := adapted.Extend([]*ts.Series{{Values: []float64{1, 2, 3, 4, 5, 6}}}); err == nil {
+					t.Errorf("%s: adapted Extend succeeded", name)
+				}
+				if err := adapted.Save(io.Discard); err == nil {
+					t.Errorf("%s: adapted Save succeeded", name)
+				}
+			}
+		}
+	}
+	e, err := Build(d, core.BuildConfig{ST: 0.3, Lengths: lengths, Seed: 1}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mono.WithThreshold(0.5); err != nil {
-		t.Errorf("unsharded WithThreshold: %v", err)
-	}
-	sharded, err := Build(d, cfg, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sharded.WithThreshold(0.5); err == nil {
-		t.Error("sharded WithThreshold: want refusal error")
+	if _, err := e.WithThreshold(0); err == nil {
+		t.Error("WithThreshold(0): want error")
 	}
 }
 
@@ -221,9 +265,8 @@ func TestLayoutSignature(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTrip saves a sharded engine and checks the reload answers
-// identically and preserves the layout; a mono engine's stream must load
-// with one shard.
+// TestPersistRoundTrip saves an engine and checks the reload answers
+// identically and preserves the layout at one and at four shards.
 func TestPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	d := randomDataset(r, 14, 28)
@@ -255,27 +298,9 @@ func TestPersistRoundTrip(t *testing.T) {
 			if loaded.Drift() != e.Drift() {
 				t.Errorf("reloaded drift %v, want %v", loaded.Drift(), e.Drift())
 			}
-			queries := randomQueries(r, loaded.monoOrData(), lengths, 8)
+			queries := randomQueries(r, loaded.data, lengths, 8)
 			compareEngines(t, "reload", e, loaded, queries, lengths, cfg.ST)
 		})
-	}
-}
-
-// TestCoreLoadRefusesSharded pins the dispatch: core.Load must not silently
-// materialize a sharded stream as a monolith.
-func TestCoreLoadRefusesSharded(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	d := randomDataset(r, 8, 24)
-	e, err := Build(d, core.BuildConfig{ST: 0.3, Lengths: []int{6, 10}, Seed: 1}, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("core.Load accepted a sharded stream")
 	}
 }
 

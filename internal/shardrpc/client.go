@@ -470,11 +470,11 @@ func (c *Client) ScanFixed(ctx context.Context, req query.ScanFixedRequest) (que
 	return resp, err
 }
 
-// EvalMembers implements query.ShardTransport.
-func (c *Client) EvalMembers(ctx context.Context, req query.EvalMembersRequest) (query.EvalMembersResponse, error) {
-	var resp query.EvalMembersResponse
-	err := c.call(ctx, "members", c.paths.members, req, &resp)
-	return resp, err
+// EvalMembers implements query.ShardTransport. The JSON decoder appends
+// the result arrays into the reset slices of resp, reusing their capacity.
+func (c *Client) EvalMembers(ctx context.Context, req query.EvalMembersRequest, resp *query.EvalMembersResponse) error {
+	*resp = query.EvalMembersResponse{LbBits: resp.LbBits[:0], DsBits: resp.DsBits[:0]}
+	return c.call(ctx, "members", c.paths.members, req, resp)
 }
 
 // Range implements query.ShardTransport.

@@ -577,7 +577,8 @@ func (w *Worker) handleMembers(rw http.ResponseWriter, r *http.Request) {
 	if !decodeReq(rw, r, &req) {
 		return
 	}
-	resp, err := ls.EvalMembers(r.Context(), req)
+	var resp query.EvalMembersResponse
+	err := ls.EvalMembers(r.Context(), req, &resp)
 	if err == nil {
 		resp.Obs = workerObs(r, start, "members", func() []obs.Attr {
 			return []obs.Attr{

@@ -12,7 +12,7 @@ import (
 // TestObservedEquivalence pins the tracing contract at the public surface:
 // for every query family, a run with a live trace recorder is bit-identical
 // to the untraced call — across sequential and parallel execution and across
-// the mono and sharded engines. Tracing only observes; it never perturbs the
+// one-shard and sharded layouts. Tracing only observes; it never perturbs the
 // cascade's pruning order or tie-breaks.
 func TestObservedEquivalence(t *testing.T) {
 	series := walkSeries(9, 48, 7)

@@ -78,8 +78,8 @@ func buildDataset(d *ts.Dataset, opts Options) (*Base, error) {
 // layers, and the Similarity Parameter Space. A Base is immutable and safe
 // for concurrent queries. With Options.Shards > 1 the base serves through
 // the intra-dataset sharded engine (series hash-partitioned across shards,
-// queries scattered and gathered) — answers are identical to the unsharded
-// path over the same data.
+// queries scattered and gathered) — answers are identical at every shard
+// count.
 type Base struct {
 	eng  *shard.Engine
 	opts Options
@@ -98,7 +98,8 @@ func (b *Base) Name() string { return b.eng.Name() }
 // NumSeries returns the number of indexed series.
 func (b *Base) NumSeries() int { return b.eng.NumSeries() }
 
-// Shards returns the serving layout's shard count (1 for unsharded bases).
+// Shards returns the serving layout's shard count (1 for the default
+// single-shard layout).
 func (b *Base) Shards() int { return b.eng.ShardCount() }
 
 // LayoutSignature fingerprints the serving layout (shard count plus each
@@ -121,10 +122,9 @@ func (b *Base) BestMatch(q []float64, mode MatchMode) (Match, error) {
 }
 
 // BestMatchContext is BestMatch under a context: a canceled or expired ctx
-// stops the per-shard fan-out of a sharded (or distributed) base between
-// rounds and returns ctx's error. Cancellation only abandons work — any
-// answer returned is still exact. Unsharded bases answer synchronously and
-// ignore ctx.
+// stops the search between lengths and rounds — at every shard count,
+// in-process or distributed — and returns ctx's error. Cancellation only
+// abandons work — any answer returned is still exact.
 func (b *Base) BestMatchContext(ctx context.Context, q []float64, mode MatchMode) (Match, error) {
 	m, err := b.eng.BestMatch(ctx, q, query.MatchMode(mode))
 	if err != nil {
@@ -515,8 +515,11 @@ func (b *Base) DegreeOf(st float64) Degree {
 }
 
 // WithThreshold derives a base for a different similarity threshold using
-// the Sec. 5.2 split/merge adaptation — no reclustering of the raw data.
-// The receiver is unchanged.
+// the Sec. 5.2 split/merge adaptation — no reclustering of the raw data —
+// over the same shard layout (in-process or distributed); answers are
+// identical at every shard count. The receiver is unchanged. Adapted bases
+// answer every query class but cannot Append, Extend or Save (maintain or
+// save the original and re-adapt).
 func (b *Base) WithThreshold(stPrime float64) (*Base, error) {
 	eng, err := b.eng.WithThreshold(stPrime)
 	if err != nil {

@@ -36,19 +36,17 @@ type Options struct {
 	Parallelism int
 	// Shards hash-partitions the dataset's series across this many engine
 	// shards, each with its own index layers built concurrently and queried
-	// by scatter-gather. 0 or 1 keeps the single-engine path (bit-compatible
-	// with previous releases); counts above the series count clamp to it;
-	// negative counts error. Query answers — BestMatch, BestKMatches,
-	// RangeSearch(Exact), Seasonal, batches — are identical at every shard
-	// count: the similarity grouping is computed globally and the
-	// scatter-gather replays the single-engine decision procedure, so like
+	// by scatter-gather. 0 or 1 serves one in-process shard holding every
+	// series; counts above the series count clamp to it; negative counts
+	// error. Every answer — BestMatch, BestKMatches, RangeSearch(Exact),
+	// Seasonal, batches, threshold adaptation (WithThreshold) — is
+	// identical at every shard count: the similarity grouping is computed
+	// globally and one decision procedure runs over the shards, so like
 	// Parallelism this is a scale/latency knob, not a semantics knob. The
 	// SP-Space guidance surface — RecommendThreshold, DegreeOf,
 	// Stats.STHalf/STFinal — is likewise computed from the one global
-	// grouping (with on-demand inter-representative distances, so no global
-	// O(g²) matrix is ever materialized) and is bit-identical at every shard
-	// count. The one exception, outside the query classes: threshold
-	// adaptation (WithThreshold) requires an unsharded base.
+	// grouping (no global O(g²) matrix is ever materialized) and is
+	// bit-identical at every shard count.
 	Shards int
 	// ShardWorkers lists remote worker base URLs (e.g. "http://host:9102")
 	// serving the shards instead of this process: shard s is shipped to and

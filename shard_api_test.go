@@ -1,6 +1,8 @@
 package onex
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -9,10 +11,7 @@ import (
 )
 
 // walkSeries builds continuous random-walk inputs: unlike the symmetric
-// sine fixture, no two distinct windows tie on exact DTW, so the
-// layout-equivalence checks below can demand identical match identities
-// (bit-equal representative ties are the one documented case where the
-// scan-order tie-break differs between layouts).
+// sine fixture, no two distinct windows tie on exact DTW.
 func walkSeries(n, length int, seed int64) []Series {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]Series, 0, n)
@@ -29,13 +28,13 @@ func walkSeries(n, length int, seed int64) []Series {
 }
 
 // TestShardsOption drives the sharded engine through the public API:
-// Shards=N answers must equal the default single-engine path, stats must
+// Shards=N answers must equal the default one-shard layout, stats must
 // expose the layout, snapshots must round-trip it, and the documented
 // restrictions must hold.
 func TestShardsOption(t *testing.T) {
 	series := walkSeries(9, 48, 42)
 	opts := Options{ST: 0.25, Lengths: []int{8, 16, 24}}
-	mono, err := Build("fixture", series, opts)
+	oneShard, err := Build("fixture", series, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +43,15 @@ func TestShardsOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mono.Shards() != 1 {
-		t.Errorf("default base Shards() = %d, want 1", mono.Shards())
+	if oneShard.Shards() != 1 {
+		t.Errorf("default base Shards() = %d, want 1", oneShard.Shards())
 	}
 	if sharded.Shards() != 3 {
 		t.Errorf("sharded base Shards() = %d, want 3", sharded.Shards())
 	}
 
 	q := append([]float64(nil), series[2].Values[5:21]...)
-	am, err := mono.BestMatch(q, MatchAny)
+	am, err := oneShard.BestMatch(q, MatchAny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestShardsOption(t *testing.T) {
 		t.Fatalf("BestMatch diverged: %+v vs %+v", am, bm)
 	}
 
-	ak, err := mono.BestKMatches(q, MatchAny, 3)
+	ak, err := oneShard.BestKMatches(q, MatchAny, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestShardsOption(t *testing.T) {
 		}
 	}
 
-	ar, err := mono.RangeSearchExact(q, 16, 0.3)
+	ar, err := oneShard.RangeSearchExact(q, 16, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestShardsOption(t *testing.T) {
 		}
 	}
 
-	ap, err := mono.SeasonalAll(16)
+	ap, err := oneShard.SeasonalAll(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestShardsOption(t *testing.T) {
 		t.Errorf("per-shard sums (%d series, %d subseq) disagree with totals (%d, %d)",
 			series3, subseq, sharded.NumSeries(), st.Subsequences)
 	}
-	if mono.LayoutSignature() == sharded.LayoutSignature() {
+	if oneShard.LayoutSignature() == sharded.LayoutSignature() {
 		t.Error("different layouts share a LayoutSignature")
 	}
 
@@ -185,10 +184,61 @@ func TestShardsOption(t *testing.T) {
 	if _, err := Build("x", series, Options{ST: 0.2, Shards: -1}); err == nil {
 		t.Error("negative Shards: want error")
 	}
-	if _, err := sharded.WithThreshold(0.4); err == nil {
-		t.Error("sharded WithThreshold: want refusal")
+
+	// Threshold adaptation works at every layout and answers identically.
+	sa, err := sharded.WithThreshold(0.4)
+	if err != nil {
+		t.Fatalf("sharded WithThreshold: %v", err)
 	}
-	if _, err := mono.WithThreshold(0.4); err != nil {
-		t.Errorf("unsharded WithThreshold: %v", err)
+	ma, err := oneShard.WithThreshold(0.4)
+	if err != nil {
+		t.Fatalf("unsharded WithThreshold: %v", err)
+	}
+	if sa.Shards() != 3 || sa.ST() != 0.4 {
+		t.Errorf("adapted sharded base: Shards %d ST %v, want 3 and 0.4", sa.Shards(), sa.ST())
+	}
+	aam, err := ma.BestMatch(q, MatchAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aas, err := sa.BestMatch(q, MatchAny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aam.SeriesID != aas.SeriesID || aam.Start != aas.Start || math.Float64bits(aam.Distance) != math.Float64bits(aas.Distance) {
+		t.Fatalf("adapted BestMatch diverged across layouts: %+v vs %+v", aam, aas)
+	}
+}
+
+// TestCanceledContextUnsharded pins that every base — the default one-shard
+// layout included — honors ctx: a canceled context makes match, k-NN and
+// range return context.Canceled instead of answering.
+func TestCanceledContextUnsharded(t *testing.T) {
+	series := walkSeries(6, 40, 7)
+	b, err := Build("cancel", series, Options{ST: 0.25, Lengths: []int{8, 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Shards() != 1 {
+		t.Fatalf("default base Shards() = %d, want 1", b.Shards())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := append([]float64(nil), series[1].Values[3:11]...)
+	for _, mode := range []MatchMode{MatchExact, MatchAny} {
+		if _, err := b.BestMatchContext(ctx, q, mode); !errors.Is(err, context.Canceled) {
+			t.Errorf("BestMatch mode %d on canceled ctx: err %v, want context.Canceled", mode, err)
+		}
+		if _, err := b.BestKMatchesObserved(ctx, q, mode, 3, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("BestKMatches mode %d on canceled ctx: err %v, want context.Canceled", mode, err)
+		}
+	}
+	for _, exact := range []bool{false, true} {
+		if _, err := b.RangeSearchObserved(ctx, q, 8, 0.5, exact, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("RangeSearch exact=%v on canceled ctx: err %v, want context.Canceled", exact, err)
+		}
+	}
+	if rs := b.BestMatchBatch(ctx, [][]float64{q}, MatchAny); !errors.Is(rs[0].Err, context.Canceled) {
+		t.Errorf("BestMatchBatch on canceled ctx: err %v, want context.Canceled", rs[0].Err)
 	}
 }
